@@ -34,7 +34,9 @@
 #
 #   --fast        skip the sanitizer rebuilds and clang-tidy; the lint +
 #                 thread-safety half of the static stage always runs
-#   --perf        also run the perf-labelled smoke benchmarks (SOFTCELL_SMOKE=1)
+#   --perf        also run the perf-labelled smoke benchmarks (SOFTCELL_SMOKE=1),
+#                 the runtime-scaling gate, and the end-to-end benchmark's own
+#                 tests (perfbench/test_perfbench.py)
 #   --static-only run ONLY the static stage (lint + analyze + their test
 #                 suites + thread-safety build + clang-tidy): no configure,
 #                 build, test, telemetry, scale or sanitizer stages.  The
@@ -239,6 +241,11 @@ run_stage "tests (net)" bash -c 'cd build && ctest --output-on-failure -L net'
 
 if [[ "$PERF" == 1 ]]; then
   run_stage "bench (perf smoke)" bash -c 'cd build && ctest --output-on-failure -L perf'
+  # The end-to-end benchmark (BENCHMARK.json) builds its own Release tree
+  # and must keep working on the current src/: a smoke run of every
+  # workload with all of its checks, plus the corrupted-output runs each
+  # check must reject.
+  run_stage "bench (perfbench self-test)" python3 perfbench/test_perfbench.py
   # Runtime-scaling honesty gate: run the full sweep and check its own
   # verdict.  On a host that can actually run the sweep concurrently
   # (valid_scaling true) the pipeline must reach >= 2.0x speedup at the

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
 
 namespace softcell {
@@ -150,10 +151,12 @@ PolicyTag AggregationEngine::alloc_tag() {
       options_.max_tags != 0
           ? options_.max_tags
           : static_cast<std::uint32_t>(PolicyTag::kInvalid);
-  if (next_tag_ >= bound)
-    throw std::runtime_error(
-        "AggregationEngine: tag space exhausted (grow the PortCodec tag "
-        "bits or reduce policy scale)");
+  if (next_tag_ >= bound) {
+    static telemetry::Counter& rejects =
+        telemetry::Registry::global().counter("agg.tag_budget_rejects");
+    rejects.add(1);
+    throw TagBudgetExhausted();
+  }
   return PolicyTag(static_cast<PolicyTag::rep_type>(next_tag_++));
 }
 

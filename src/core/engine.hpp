@@ -130,6 +130,16 @@ class AggregationEngine {
     NodeId sw;
   };
 
+  // A path needed a fresh tag past EngineOptions::max_tags (the Fig. 4
+  // port budget).  Each throw counts once in the telemetry registry as
+  // agg.tag_budget_rejects.
+  struct TagBudgetExhausted : std::runtime_error {
+    TagBudgetExhausted()
+        : std::runtime_error(
+              "AggregationEngine: tag space exhausted (grow the PortCodec "
+              "tag bits or reduce policy scale)") {}
+  };
+
   AggregationEngine(const Graph& graph, EngineOptions options = {});
 
   struct InstallResult {

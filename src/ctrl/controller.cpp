@@ -9,8 +9,8 @@
 // sc-lint: commit-owner(Controller) -- the switch-table engine is mutated
 // only here; every cross-shard install reaches these call sites through
 // the CoreCommitter's single-writer commit stage (DESIGN.md section 16),
-// which is what keeps the published PathView snapshots and the state
-// fingerprint in step with the table.
+// which is what keeps the published tag slots and the state fingerprint
+// in step with the table.
 
 namespace softcell {
 
@@ -167,7 +167,6 @@ Controller::InstalledPath Controller::install_path_locked(
     std::uint32_t bs, ClauseId clause, std::optional<PolicyTag> hint) {
   SC_TRACE_SPAN_ARG("ctrl.install_path", bs);
   const auto instances = select_instances_locked(bs, clause);
-  selected_[SlowState::PathKey{clause, bs}] = instances;
   const auto up = expand_policy_path(topo_->graph(), routes_,
                                      Direction::kUplink,
                                      topo_->access_switch(bs), instances,
@@ -182,18 +181,22 @@ Controller::InstalledPath Controller::install_path_locked(
   // The uplink tag choice must avoid anything live in this base station's
   // downlink namespace (e.g. tags of M2M half-paths toward it), because the
   // downlink direction is pinned to the same tag next.
-  for (const NodeId mb : instances) ++instance_load_[mb];
   const auto up_res = engine_.install(
       up, bs, origin, hint, /*pin=*/false,
       AggregationEngine::bs_key(bs, Direction::kDownlink));
   InstallResultAlias down_res;
   try {
     down_res = engine_.install(down, bs, origin, up_res.tag, /*pin=*/true);
-  } catch (const AggregationEngine::PathRejected&) {
-    // Deny the whole request, never a half-installed direction.
+  } catch (...) {
+    // Deny the whole request (a full table, or a segment tag past the
+    // port budget), never a half-installed direction.
     engine_.remove(up_res.path);
     throw;
   }
+  // Only an installed path counts toward instance load and pins its
+  // selection: a denied request leaves no trace.
+  selected_[SlowState::PathKey{clause, bs}] = instances;
+  for (const NodeId mb : instances) ++instance_load_[mb];
   ++path_installs_;
   return InstalledPath{up_res.tag, up_res.path, down_res.path};
 }
@@ -459,24 +462,25 @@ std::uint64_t Controller::state_fingerprint(std::uint64_t fold_store_writes,
   return f.h;
 }
 
-std::shared_ptr<const PathView> Controller::export_path_view(
-    std::uint64_t version) const {
+std::vector<std::pair<SlowState::PathKey, PolicyTag>>
+Controller::installed_paths() const {
   sc::ReadLock lock(mu_);
-  auto view = std::make_shared<PathView>();
-  view->version = version;
-  view->paths.reserve(installed_.size());
+  std::vector<std::pair<SlowState::PathKey, PolicyTag>> out;
+  out.reserve(installed_.size());
   installed_.for_each(
       [&](const SlowState::PathKey& key, const InstalledPath& p) {
-        view->paths.try_emplace(PathView::key(key.clause, key.bs), p.tag);
+        out.emplace_back(key, p.tag);
       });
-  view->m2m.reserve(m2m_installed_.size());
-  m2m_installed_.for_each([&](const M2mKey& key, const PolicyTag& tag) {
-    view->m2m.try_emplace(
-        PathView::M2mKey{key.clause.value(), key.src, key.dst}, tag);
-  });
-  view->core_rules = engine_.total_rules();
-  view->core_tags = engine_.tags_in_use();
-  return view;
+  return out;
+}
+
+std::optional<PolicyTag> Controller::m2m_tag(std::uint32_t src_bs,
+                                             std::uint32_t dst_bs,
+                                             ClauseId clause) const {
+  sc::ReadLock lock(mu_);
+  const PolicyTag* tag = m2m_installed_.find(M2mKey{clause, src_bs, dst_bs});
+  if (tag == nullptr) return std::nullopt;
+  return *tag;
 }
 
 void Controller::fail_primary_replica() {

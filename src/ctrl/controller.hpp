@@ -42,8 +42,8 @@
 #include "core/engine.hpp"
 #include "ctrl/control_plane.hpp"
 #include "ctrl/store.hpp"
-#include "dataplane/path_view.hpp"
 #include "mem/slab_map.hpp"
+#include "packet/locip.hpp"
 #include "policy/policy.hpp"
 #include "topo/cellular.hpp"
 #include "topo/routing.hpp"
@@ -64,6 +64,20 @@ struct ControllerOptions {
   std::size_t store_replicas = 3;
   EngineOptions engine;
 };
+
+// The Fig. 4 tag budget, in one place: caps EngineOptions::max_tags at the
+// tags the source-port bits reserved for them can carry, so the engine
+// never hands out a tag an access switch cannot embed.  An explicit
+// max_tags is kept.  The serving brain (softcell-serverd, through
+// BrainBundle) and the simulator apply it; the offline Fig. 7 sweeps keep
+// the full 16-bit space.  Past the budget an install throws
+// AggregationEngine::TagBudgetExhausted, and the request is answered
+// not-ok.
+[[nodiscard]] inline ControllerOptions with_port_tag_budget(
+    ControllerOptions options, const PortCodec& codec = PortCodec()) {
+  if (options.engine.max_tags == 0) options.engine.max_tags = codec.max_tags();
+  return options;
+}
 
 class Controller : public ControlPlane {
  public:
@@ -246,16 +260,17 @@ class Controller : public ControlPlane {
       std::uint64_t fold_store_writes = 0,
       std::uint64_t fold_attached = 0) const SC_EXCLUDES(mu_);
 
-  // Snapshot of the installed (clause, bs) -> tag and m2m half-path maps as
-  // an immutable PathView -- the commit stage publishes this to shard-side
-  // classifier readers after every batch (RCU; see dataplane/path_view.hpp).
-  // The view's tag map is definitionally equal to the store's path map:
-  // both are written only by request_policy_path/migrate_path/recompact
-  // under the writer lock.
-  // `version` stamps the snapshot (the committer passes its publish
-  // counter); callers that only want the maps can leave it 0.
-  [[nodiscard]] std::shared_ptr<const PathView> export_path_view(
-      std::uint64_t version = 0) const SC_EXCLUDES(mu_);
+  // Every installed (clause, bs) gateway path with its tag, in no
+  // particular order -- the commit stage rebuilds its tag slots from this
+  // after a bulk re-tag (recompact, out-of-band core maintenance).
+  [[nodiscard]] std::vector<std::pair<SlowState::PathKey, PolicyTag>>
+  installed_paths() const SC_EXCLUDES(mu_);
+
+  // The installed m2m half-path's tag, or nullopt (reader lock).
+  [[nodiscard]] std::optional<PolicyTag> m2m_tag(std::uint32_t src_bs,
+                                                 std::uint32_t dst_bs,
+                                                 ClauseId clause) const
+      SC_EXCLUDES(mu_);
 
   // The middlebox instances serving the (clause, bs) path.  Once a path is
   // installed its selection is memoized, so mobility and verification always

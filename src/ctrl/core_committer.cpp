@@ -9,8 +9,8 @@ namespace softcell {
 CoreCommitter::CoreCommitter(const CellularTopology& topo,
                              std::shared_ptr<const ServicePolicy> policy,
                              ControllerOptions options)
-    : core_(topo, std::move(policy), options),
-      view_(std::make_shared<const PathView>()),
+    : core_(topo, policy, options),
+      slots_(policy->size(), topo.num_base_stations()),
       batches_(telemetry::Registry::global().counter("commit.batches")),
       ops_(telemetry::Registry::global().counter("commit.ops")),
       view_publishes_(
@@ -93,11 +93,50 @@ void CoreCommitter::publish_view() {
   cv_.wait(lock, [&]() SC_REQUIRES(mu_) { return !combiner_active_; });
   combiner_active_ = true;
   lock.unlock();
-  view_.update(core_.export_path_view(++publishes_));
+  resync();
+  publishes_.fetch_add(1, std::memory_order_release);
   view_publishes_.add(1);
   lock.lock();
   combiner_active_ = false;
   cv_.notify_all();
+}
+
+void CoreCommitter::resync() {
+  std::vector<TagSlots::Path> paths;
+  for (const auto& [key, tag] : core_.installed_paths())
+    paths.push_back(TagSlots::Path{key.clause, key.bs, tag});
+  slots_.assign(paths);
+}
+
+void CoreCommitter::publish(const Op& op) {
+  switch (op.kind) {
+    case Op::Kind::kPath:
+      if (!op.error) slots_.set(op.clause, op.bs, op.tag);
+      break;
+    case Op::Kind::kPathBatch:
+      // A failed batch may have installed a prefix of its sorted requests;
+      // the slots must never lag what the core applied.
+      if (op.error) {
+        resync();
+        break;
+      }
+      for (std::size_t i = 0; i < op.batch.size(); ++i)
+        slots_.set(op.batch[i].clause, op.batch[i].bs, op.tags[i]);
+      break;
+    case Op::Kind::kMigrate:
+      if (!op.error) {
+        slots_.retag([&] {
+          slots_.set(op.clause, op.bs, op.migration.new_tag);
+        });
+      }
+      break;
+    case Op::Kind::kRecompact:
+      resync();  // every tag may change, also when a reinstall failed
+      break;
+    case Op::Kind::kM2m:
+    case Op::Kind::kDrainOld:
+      break;  // no gateway path changes its tag
+  }
 }
 
 void CoreCommitter::apply(Op& op) {
@@ -148,18 +187,17 @@ void CoreCommitter::submit(Op& op) {
 
       {
         telemetry::ScopedTimerNs apply_span(apply_ns_);
+        // Each op's slots are stored BEFORE any waiter is released
+        // (read-your-writes: a submitter that returns with a tag must find
+        // it in every slot load made afterwards).
         for (Op* queued : batch) {
           apply(*queued);
+          publish(*queued);
           if (observer_) observer_(queued->shard, seq_);
           ++seq_;
         }
-        // Publish the view covering this whole batch BEFORE releasing any
-        // waiter (read-your-writes: a submitter that returns with a tag
-        // must find it in every snapshot loaded afterwards).  Failed ops
-        // publish too -- the core may have partially advanced (batch
-        // variant) and the view must never lag applied state.
-        view_.update(core_.export_path_view(++publishes_));
       }
+      publishes_.fetch_add(1, std::memory_order_release);
       view_publishes_.add(1);
       batches_.add(1);
       ops_.add(batch.size());

@@ -8,25 +8,27 @@
 //
 //   shard thread: enqueue op -> (wait | become the combiner)
 //   combiner:     drain the queue in arrival batches, apply each op to the
-//                 core Controller, publish a fresh PathView snapshot, THEN
-//                 mark the batch's ops done and wake their waiters
+//                 core Controller, store the tags it changed in the slot
+//                 array, THEN mark the batch's ops done and wake their
+//                 waiters
 //
 // Ordering rules (DESIGN.md section 16):
 //   * total order -- ops apply in one global arrival order; ops from one
 //     shard (issued sequentially, as the runtime's per-shard FIFO
 //     guarantees) therefore apply in issue order;
-//   * publish-before-complete -- the PathView including an op's effect is
-//     published before the op's submitter is released, so a requester that
-//     observed its own tag will find it in every snapshot loaded
-//     afterwards (no read-your-writes anomaly);
+//   * publish-before-complete -- an op's slots are stored before the op's
+//     submitter is released, so a requester that observed its own tag
+//     will find it in every slot load made afterwards (no read-your-writes
+//     anomaly);
 //   * exactly-once install -- the core re-checks its installed map under
 //     its own lock, so duplicate (bs, clause) ops arriving from different
 //     shards collapse to one install and all return the same tag.
 //
-// Readers never enter this file: they resolve tags against the PathView
-// RCU snapshot (view()), which stays valid for as long as they hold it.
+// Readers never enter the queue: they load tags from the slot array
+// (slots(), ctrl/tag_slots.hpp) with no lock and no refcount.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,8 +37,7 @@
 #include <vector>
 
 #include "ctrl/controller.hpp"
-#include "dataplane/path_view.hpp"
-#include "runtime/snapshot.hpp"
+#include "ctrl/tag_slots.hpp"
 #include "telemetry/registry.hpp"
 #include "util/annotations.hpp"
 
@@ -50,8 +51,8 @@ class CoreCommitter {
 
   // --- commit API (blocking; any thread) ------------------------------------
   // Each call enqueues one op and returns once it has been applied and the
-  // view including it published.  Errors thrown by the core (policy
-  // denial, path rejection) re-throw in the submitting thread.
+  // slots it changed stored.  Errors thrown by the core (policy denial,
+  // path rejection) re-throw in the submitting thread.
   PolicyTag commit_path(std::size_t shard, std::uint32_t bs, ClauseId clause);
   std::vector<PolicyTag> commit_paths(
       std::size_t shard, std::span<const Controller::PathRequest> requests);
@@ -63,14 +64,19 @@ class CoreCommitter {
                         PolicyTag old_tag);
   Controller::RecompactResult commit_recompact(std::size_t shard);
 
-  // --- the RCU read side ----------------------------------------------------
-  [[nodiscard]] std::shared_ptr<const PathView> view() const {
-    return view_.load();
+  // --- the read side (lock-free, any thread) --------------------------------
+  // (clause, bs) -> tag of every installed gateway path.  m2m half-paths
+  // are not published: their warm check reads Controller::m2m_tag.
+  [[nodiscard]] const TagSlots& slots() const { return slots_; }
+  // Publishes so far: one per commit batch, one per publish_view().
+  [[nodiscard]] std::uint64_t publishes() const {
+    return publishes_.load(std::memory_order_acquire);
   }
 
-  // Re-derives and publishes the view from the core's current state.  For
-  // quiescent out-of-band core mutations (recovery wiring, direct core()
-  // use in single-threaded harness code); commits republish on their own.
+  // Rewrites every slot from the core's installed paths, as one bulk
+  // re-tag.  For quiescent out-of-band core mutations (recovery wiring,
+  // direct core() use in single-threaded harness code); commits publish
+  // on their own.
   void publish_view();
 
   // The shared core controller (rule universe, tag namespace, installed
@@ -117,14 +123,18 @@ class CoreCommitter {
   };
 
   // Enqueues, combines or waits, re-throws the op's error.  On return the
-  // op has been applied and a view including it published.
+  // op has been applied and its slots stored.
   void submit(Op& op) SC_EXCLUDES(mu_);
   // Applies one op to the core (combiner only, no lock held -- the core
   // has its own).
   void apply(Op& op);
+  // Stores the slots an applied op changed (combiner only).
+  void publish(const Op& op);
+  // Rewrites every slot from the core (combiner only).
+  void resync();
 
   Controller core_;
-  VersionedSnapshot<PathView> view_;
+  TagSlots slots_;
 
   sc::Mutex mu_;
   sc::CondVar cv_;
@@ -132,7 +142,7 @@ class CoreCommitter {
   bool combiner_active_ SC_GUARDED_BY(mu_) = false;
   CommitObserver observer_;         // set before concurrent use
   std::uint64_t seq_ = 0;           // combiner thread only
-  std::uint64_t publishes_ = 0;     // combiner thread only
+  std::atomic<std::uint64_t> publishes_{0};  // written by the combiner
 
   // Commit-stage depth/latency series (telemetry registry, see DESIGN.md
   // section 16): refs are stable for the registry's lifetime.

@@ -41,17 +41,17 @@ std::optional<UeLocation> ShardEngine::ue_location(UeId ue) const {
 }
 
 std::vector<PacketClassifier> ShardEngine::fetch_classifiers(
-    UeId ue, std::uint32_t bs, const PathView& view) const {
+    UeId ue, std::uint32_t bs, const TagSlots& tags) const {
   sc::ReadLock lock(mu_);
   const std::optional<SubscriberProfile> profile = store_.profile(ue);
   if (!profile)
     throw std::invalid_argument("fetch_classifiers: unknown subscriber");
 
   // Byte-for-byte the legacy compilation (Controller::fetch_classifiers),
-  // except the tag comes from the RCU path view instead of the store's
+  // except the tag comes from the committer's slots instead of the store's
   // path map -- the two are definitionally equal (both written only by the
-  // install/migrate/recompact paths, and the committer republishes before
-  // completing any of them).
+  // install/migrate/recompact paths, and the committer stores the slots
+  // before completing any of them).
   std::vector<PacketClassifier> out;
   for (AppType app : {AppType::kWeb, AppType::kVideo, AppType::kVoip,
                       AppType::kM2mTelemetry, AppType::kOther}) {
@@ -64,11 +64,14 @@ std::vector<PacketClassifier> ShardEngine::fetch_classifiers(
     c.app = app;
     c.clause = clause->id;
     c.allow = clause->action.allow;
-    if (c.allow) {
-      if (const PolicyTag* tag = view.path(clause->id, bs)) c.tag = *tag;
-    }
     out.push_back(c);
   }
+  // A bulk re-tag overlapping the loads reruns them: one classifier set
+  // never mixes tags from before and after a migrate or recompact.
+  tags.read_stable([&] {
+    for (PacketClassifier& c : out)
+      if (c.allow) c.tag = tags.get(c.clause, bs);
+  });
   return out;
 }
 

@@ -12,9 +12,9 @@
 //
 // A ShardEngine owns exactly the first kind: a replicated ControlStore
 // slice holding this shard's profiles and locations, plus the policy
-// snapshot pointer.  Classifier compilation resolves path tags against an
-// immutable PathView published by the CoreCommitter (the second kind's
-// single writer), so the shard-side read path never touches the core lock.
+// snapshot pointer.  Classifier compilation resolves path tags against the
+// tag slots the CoreCommitter (the second kind's single writer) publishes,
+// so the shard-side read path never touches the core lock.
 //
 // Thread safety: all methods are safe from any thread; a shard's own
 // SharedMutex serializes them.  Different ShardEngines never share state.
@@ -28,7 +28,7 @@
 
 #include "ctrl/control_plane.hpp"
 #include "ctrl/store.hpp"
-#include "dataplane/path_view.hpp"
+#include "ctrl/tag_slots.hpp"
 #include "policy/policy.hpp"
 #include "util/annotations.hpp"
 
@@ -50,10 +50,11 @@ class ShardEngine {
   [[nodiscard]] std::optional<UeLocation> ue_location(UeId ue) const
       SC_EXCLUDES(mu_);
 
-  // Compiles the UE's packet classifiers, resolving tags against `view`
-  // (the caller's loaded RCU snapshot) instead of a store path map.
+  // Compiles the UE's packet classifiers, resolving tags against `tags`
+  // instead of a store path map.  All tags of one call come from one
+  // slot version (TagSlots::read_stable).
   [[nodiscard]] std::vector<PacketClassifier> fetch_classifiers(
-      UeId ue, std::uint32_t bs, const PathView& view) const
+      UeId ue, std::uint32_t bs, const TagSlots& tags) const
       SC_EXCLUDES(mu_);
 
   // RCU policy swap (same contract as Controller::set_policy).

@@ -9,8 +9,8 @@
 //   * ShardBrain (runtime/shard_brain.hpp) -- N ShardEngines (per-shard
 //     UE/classifier state) over ONE shared rule universe, with every
 //     cross-shard install serialized through the CoreCommitter's
-//     single-writer commit stage and published back to readers as RCU
-//     PathView snapshots.
+//     single-writer commit stage and published back to readers as atomic
+//     tag slots.
 //
 // The pipeline (ControlPlaneRuntime) is agnostic: it routes by
 // shard_of(ue), executes on the worker owning that shard, and records

@@ -63,14 +63,13 @@ std::size_t ShardBrain::shard_of(UeId ue) const {
   return mix64(ue.value()) % shards_.size();
 }
 
-std::shared_ptr<const PathView> ShardBrain::current_view() const {
+void ShardBrain::heal_stale_view() const {
   if (view_stale_.load(std::memory_order_acquire) &&
       view_stale_.exchange(false, std::memory_order_acq_rel)) {
-    // Const escape: republishing is a cache refresh, not an observable
-    // state change (the view is re-derived from the core's current maps).
+    // Const escape: a resync is a cache refresh, not an observable state
+    // change (the slots are re-derived from the core's current map).
     const_cast<CoreCommitter&>(committer_).publish_view();
   }
-  return committer_.view();
 }
 
 void ShardBrain::provision_subscriber(UeId ue,
@@ -109,10 +108,8 @@ std::vector<PacketClassifier> ShardBrain::fetch_classifiers(
   const auto s = shard_of(ue);
   metrics_[s].count_request();
   metrics_[s].count_classifier_fetch();
-  // One snapshot for the whole compilation: every tag the classifiers
-  // resolve comes from the same view version.
-  const auto view = current_view();
-  return shards_[s]->fetch_classifiers(ue, bs, *view);
+  heal_stale_view();
+  return shards_[s]->fetch_classifiers(ue, bs, committer_.slots());
 }
 
 PolicyTag ShardBrain::request_policy_path(UeId ue, std::uint32_t bs,
@@ -120,14 +117,11 @@ PolicyTag ShardBrain::request_policy_path(UeId ue, std::uint32_t bs,
   const auto s = shard_of(ue);
   metrics_[s].count_request();
   metrics_[s].count_path_request();
-  // Warm hit: the path is already installed and visible in the current
-  // view -- no commit, no core lock.  The core re-checks under its own
-  // lock on the miss path, so a racing duplicate still installs once.
-  // The snapshot must outlive the returned pointer: a temporary
-  // shared_ptr would retire the view (and the tag it points into) before
-  // the dereference once a racing commit republishes.
-  const auto view = current_view();
-  if (const PolicyTag* tag = view->path(clause, bs)) return *tag;
+  // Warm hit: the path is already installed and its slot published -- no
+  // commit, no core lock.  The core re-checks under its own lock on the
+  // miss path, so a racing duplicate still installs once.
+  heal_stale_view();
+  if (const auto tag = committer_.slots().get(clause, bs)) return *tag;
   return committer_.commit_path(s, bs, clause);
 }
 
@@ -139,7 +133,7 @@ std::vector<PolicyTag> ShardBrain::request_policy_paths(
     metrics_[s].count_path_request();
   // The batch goes to the commit stage whole -- the core's batched install
   // sorts by (bs, clause) and skips already-installed entries under one
-  // writer-lock acquisition, which beats filtering against the view here.
+  // writer-lock acquisition, which beats filtering against the slots here.
   return committer_.commit_paths(s, requests);
 }
 
@@ -148,8 +142,7 @@ PolicyTag ShardBrain::request_m2m_path(UeId src_ue, std::uint32_t src_bs,
   const auto s = shard_of(src_ue);
   metrics_[s].count_request();
   metrics_[s].count_path_request();
-  const auto view = current_view();  // keeps *tag alive past the load
-  if (const PolicyTag* tag = view->m2m_tag(clause, src_bs, dst_bs))
+  if (const auto tag = committer_.core().m2m_tag(src_bs, dst_bs, clause))
     return *tag;
   return committer_.commit_m2m(s, src_bs, dst_bs, clause);
 }
@@ -157,15 +150,14 @@ PolicyTag ShardBrain::request_m2m_path(UeId src_ue, std::uint32_t src_bs,
 PolicyTag ShardBrain::request_policy_path(std::uint32_t bs, ClauseId clause) {
   // UE-less ControlPlane surface (simulation agents): no shard metrics to
   // attribute; commits are accounted to shard 0.
-  const auto view = current_view();  // keeps *tag alive past the load
-  if (const PolicyTag* tag = view->path(clause, bs)) return *tag;
+  heal_stale_view();
+  if (const auto tag = committer_.slots().get(clause, bs)) return *tag;
   return committer_.commit_path(0, bs, clause);
 }
 
 PolicyTag ShardBrain::request_m2m_path(std::uint32_t src_bs,
                                        std::uint32_t dst_bs, ClauseId clause) {
-  const auto view = current_view();  // keeps *tag alive past the load
-  if (const PolicyTag* tag = view->m2m_tag(clause, src_bs, dst_bs))
+  if (const auto tag = committer_.core().m2m_tag(src_bs, dst_bs, clause))
     return *tag;
   return committer_.commit_m2m(0, src_bs, dst_bs, clause);
 }

@@ -15,11 +15,10 @@
 //     and the core/gateway switch rows) lives on ONE core Controller owned
 //     by the CoreCommitter, which serializes cross-shard installs through
 //     a single-writer flat-combining commit stage and publishes the
-//     resulting (clause, bs) -> tag map to readers as RCU PathView
-//     snapshots;
+//     resulting (clause, bs) -> tag map to readers as an array of atomic
+//     tag slots (ctrl/tag_slots.hpp);
 //   * the read path (fetch_classifiers) never touches the core lock: it
-//     loads the current PathView and compiles against the shard's own
-//     store.
+//     loads the slots and compiles against the shard's own store.
 //
 // Mode selection: the brain is the default; SOFTCELL_SHARD_BRAIN=0 falls
 // back to the legacy per-shard-clone ShardedController (same convention
@@ -90,8 +89,10 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   [[nodiscard]] std::vector<PacketClassifier> fetch_classifiers(
       UeId ue, std::uint32_t bs) const override;
 
-  // Path requests check the current PathView first (warm hit: no commit,
-  // no core lock) and fall through to the commit stage on miss.
+  // Path requests check the published slot first (warm hit: a lock-free
+  // slot load, no commit, no core lock) and fall through to the commit
+  // stage on miss.  m2m half-paths check the core's own map under its
+  // reader lock.
   PolicyTag request_policy_path(UeId ue, std::uint32_t bs,
                                 ClauseId clause) override;
   std::vector<PolicyTag> request_policy_paths(
@@ -142,9 +143,6 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   [[nodiscard]] Controller& core() { return committer_.core(); }
   [[nodiscard]] const Controller& core() const { return committer_.core(); }
   [[nodiscard]] CoreCommitter& committer() { return committer_; }
-  [[nodiscard]] std::shared_ptr<const PathView> path_view() const {
-    return committer_.view();
-  }
   [[nodiscard]] ShardEngine& shard(std::size_t i) { return *shards_[i]; }
   [[nodiscard]] const ShardEngine& shard(std::size_t i) const {
     return *shards_[i];
@@ -152,19 +150,21 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
 
   // Out-of-band core mutations that change installed tags (migrate_path,
   // recompact called directly on core() by quiescent maintenance code)
-  // bypass the commit stage, so the published PathView would go stale.
+  // bypass the commit stage, so the published slots would go stale.
   // Callers -- the simulation wires the core's classifier listener here --
-  // mark the view stale and the next view consumer republishes before
-  // reading.  Commits themselves never need this (they republish inline).
+  // mark the view stale and the next slot reader resyncs the slots
+  // (CoreCommitter::publish_view) before reading.  Commits themselves
+  // never need this (they store their slots inline).
   void mark_view_stale() {
     view_stale_.store(true, std::memory_order_release);
   }
 
  private:
-  // Every view consumption goes through here: heals a stale view first
-  // (at most one republish per staleness event; concurrent healers race on
-  // the exchange and the losers just read the healed snapshot).
-  [[nodiscard]] std::shared_ptr<const PathView> current_view() const;
+  // Every slot read goes through here first: resyncs a stale view (at most
+  // one resync per staleness event; concurrent healers race on the
+  // exchange, and a loser reads the slots as any read racing a re-tag
+  // does, before or after the winner's rewrite).
+  void heal_stale_view() const;
 
 
   VersionedSnapshot<ServicePolicy> policy_;

@@ -55,8 +55,10 @@ bool EventQueue::step() {
 }
 
 std::size_t EventQueue::run(std::size_t max_events) {
+  constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
   std::size_t n = 0;
-  while (n < max_events && step()) ++n;
+  for (std::size_t ran; n < max_events && (ran = step_merged(kForever)) > 0;)
+    n += ran;
   return n;
 }
 

@@ -52,10 +52,12 @@ class EventQueue {
   // Runs the next event (one heap event, or every timer due at the next
   // armed tick); false when nothing is scheduled.
   bool step();
-  // Runs events until the queue drains or `max_events` were executed;
-  // returns how many ran.
+  // Runs events until the queue drains or at least `max_events` callbacks
+  // ran; returns how many callbacks ran.  The timers of one wheel tick run
+  // together, so the last step may carry the count past the cap.
   std::size_t run(std::size_t max_events = SIZE_MAX);
-  // Runs all events scheduled strictly before `t`, then advances now() to t.
+  // Runs all events scheduled strictly before `t`, then advances now() to t;
+  // returns how many callbacks ran.
   std::size_t run_until(SimTime t);
 
  private:

@@ -28,16 +28,6 @@ double hop_latency_ms(NodeKind kind, QosClass qos) {
   // Priority queuing: low-latency class skips the standing queue.
   return qos == QosClass::kLowLatency ? base * 0.6 : base;
 }
-}  // namespace
-
-namespace {
-// The engine may only allocate tags that fit the port-embedding split.
-ControllerOptions with_tag_bound(ControllerOptions opts,
-                                 std::uint8_t tag_bits) {
-  if (opts.engine.max_tags == 0)
-    opts.engine.max_tags = PortCodec(tag_bits).max_tags();
-  return opts;
-}
 
 // Fleet-mode config normalization (see SoftCellConfig::cluster_controllers).
 SoftCellConfig normalized(SoftCellConfig config) {
@@ -68,8 +58,8 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
                          topo_, policy,
                          ShardedControllerOptions{
                              .shards = 1,
-                             .controller = with_tag_bound(config_.controller,
-                                                          config_.tag_bits)})
+                             .controller = with_port_tag_budget(
+                                 config_.controller, codec_)})
                    : nullptr),
       brain_(config_.cluster_controllers == 0 && shard_brain_enabled()
                  ? std::make_unique<ShardBrain>(
@@ -78,16 +68,16 @@ SoftCellNetwork::SoftCellNetwork(SoftCellConfig config, ServicePolicy policy)
                            .shards = config_.runtime_shards > 0
                                          ? config_.runtime_shards
                                          : 4,
-                           .controller = with_tag_bound(config_.controller,
-                                                        config_.tag_bits)})
+                           .controller = with_port_tag_budget(
+                               config_.controller, codec_)})
                  : nullptr),
       fleet_(config_.cluster_controllers > 0
                  ? std::make_unique<cluster::ControllerFleet>(
                        topo_, std::move(policy),
                        cluster::FleetOptions{
                            .replicas = config_.cluster_controllers,
-                           .controller = with_tag_bound(config_.controller,
-                                                        config_.tag_bits)})
+                           .controller = with_port_tag_budget(
+                               config_.controller, codec_)})
                  : nullptr),
       controller_(fleet_   ? fleet_->replica(0)
                   : brain_ ? brain_->core()

@@ -28,13 +28,19 @@ ServicePolicy make_wire_policy(const CellularTopology& topo,
 
 BrainBundle::BrainBundle(const CellularTopology& topo, ServicePolicy policy,
                          std::size_t shards) {
+  // Served tags travel in the Fig. 4 source-port bits: a path request past
+  // that budget is answered not-ok instead of with a tag no access switch
+  // could embed.
+  const ControllerOptions controller = with_port_tag_budget({});
   if (shard_brain_enabled()) {
-    shard_ = std::make_unique<ShardBrain>(topo, std::move(policy),
-                                          ShardBrainOptions{.shards = shards});
+    shard_ = std::make_unique<ShardBrain>(
+        topo, std::move(policy),
+        ShardBrainOptions{.shards = shards, .controller = controller});
     brain_ = shard_.get();
   } else {
     ShardedControllerOptions shard_opts;
     shard_opts.shards = shards;
+    shard_opts.controller = controller;
     legacy_ = std::make_unique<ShardedController>(topo, std::move(policy),
                                                   shard_opts);
     brain_ = legacy_.get();

@@ -60,6 +60,8 @@ struct WireWorkloadConfig {
 // Brain-mode selection (partitioned ShardBrain by default, the legacy
 // per-shard-clone controller under SOFTCELL_SHARD_BRAIN=0), extracted from
 // bench_runtime_pipeline so the serving paths and the benches agree on it.
+// Either brain allocates tags within the Fig. 4 port budget
+// (with_port_tag_budget).
 class BrainBundle {
  public:
   BrainBundle(const CellularTopology& topo, ServicePolicy policy,

@@ -125,15 +125,16 @@ class FixtureCorpus(unittest.TestCase):
             self.assertEqual(f["checker"], "rvalue-snapshot-deref")
 
     def test_bad_rvalue_fixture_is_the_literal_pr8_shape(self):
-        # The PR 8 use-after-free read a PolicyTag* out of a temporary
-        # view inside the if-init; the fixture must keep that exact shape
-        # and the finding must point at it.
+        # The §12.4 use-after-free read a pointer out of a temporary
+        # snapshot inside the if-init; the fixture keeps that exact shape
+        # on the snapshot src/ still publishes (policy_snapshot()), and the
+        # finding must point at it.
         src = FIXTURES / "bad_rvalue_snapshot.cpp"
         text = src.read_text()
-        self.assertIn("committer.view()->path(clause, bs)", text)
+        self.assertIn("brain.policy_snapshot()->match(provider, app)", text)
         shape_line = next(
             i for i, t in enumerate(text.splitlines(), 1)
-            if "committer.view()->path(clause, bs)" in t)
+            if "brain.policy_snapshot()->match(provider, app)" in t)
         findings = self.reports["bad_rvalue_snapshot"]["findings"]
         self.assertIn(shape_line, [f["line"] for f in findings])
 

@@ -203,5 +203,37 @@ TEST_F(ControllerTest, FailoverPreservesSlowState) {
   EXPECT_EQ(ctrl_.ue_location(ue)->bs, 1u);
 }
 
+TEST(ControllerTagBudget, DeniedInstallsLeaveNoLoadBehind) {
+  // Forty one-firewall clauses at one base station need forty distinct
+  // tags there; past a 16-tag budget (tag 0 is the delivery tag) the
+  // requests are denied whole: no install, and no middlebox load counted.
+  CellularTopology topo({.k = 4, .seed = 1});
+  ServicePolicy policy;
+  std::vector<ClauseId> clauses;
+  for (std::uint32_t c = 0; c < 40; ++c)
+    clauses.push_back(policy.add_clause(
+        10 + c, Predicate::provider_is(100 + c),
+        ServiceAction{true, {mb::kFirewall}, QosClass::kBestEffort}));
+  ControllerOptions options;
+  options.engine.max_tags = 16;
+  Controller ctrl(topo, policy, options);
+  std::uint64_t installed = 0, denied = 0;
+  for (const ClauseId clause : clauses) {
+    try {
+      (void)ctrl.request_policy_path(0, clause);
+      ++installed;
+    } catch (const AggregationEngine::TagBudgetExhausted&) {
+      ++denied;
+    }
+  }
+  EXPECT_EQ(installed, 15u);
+  EXPECT_EQ(denied, 25u);
+  EXPECT_EQ(ctrl.path_installs(), installed);
+  std::uint64_t load = 0;
+  for (const auto& inst : topo.middleboxes())
+    load += ctrl.instance_load(inst.node);
+  EXPECT_EQ(load, installed);  // one firewall per installed path
+}
+
 }  // namespace
 }  // namespace softcell

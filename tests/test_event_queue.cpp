@@ -63,6 +63,29 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(q.now(), 9.0);
 }
 
+TEST(EventQueue, RunCountsEveryCallbackOfAWheelTick) {
+  // Three timers on one 1 ms tick run in one scheduling step; run() counts
+  // callbacks, so it reports them all (and the heap event), not two steps.
+  EventQueue q;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) q.timer_at(0.010, [&] { ++fired; });
+  q.at(0.005, [&] { ++fired; });
+  EXPECT_EQ(q.run(), 4u);
+  EXPECT_EQ(fired, 4);
+
+  // The cap counts callbacks too.  A tick's timers run together, so run(2)
+  // stops after the first step that reaches two callbacks.
+  EventQueue capped;
+  int capped_fired = 0;
+  for (int i = 0; i < 3; ++i)
+    capped.timer_at(0.010, [&] { ++capped_fired; });
+  capped.timer_at(0.020, [&] { ++capped_fired; });
+  EXPECT_EQ(capped.run(2), 3u);
+  EXPECT_EQ(capped_fired, 3);
+  EXPECT_EQ(capped.timers_pending(), 1u);
+  EXPECT_EQ(capped.run(), 1u);
+}
+
 TEST(EventQueue, RunWithCap) {
   EventQueue q;
   int ran = 0;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -491,6 +492,60 @@ TEST(NetServer, WireRunMatchesInProcessFingerprintThenDrains) {
     EXPECT_FALSE(late.echo(1, 300ms));
   }
   EXPECT_EQ(h.stats().accepts.load(), accepts);
+}
+
+// softcell-serverd's brain allocates tags within the Fig. 4 port budget
+// (PortCodec(10): 1,024 tags, tag 0 reserved for delivery).  1,100 wire
+// clauses at one base station need one tag each there, so the requests
+// past the budget are answered not-ok -- never with a tag the access
+// switch cannot embed -- and each is counted in agg.tag_budget_rejects.
+TEST(NetServer, PathRequestsPastThePortTagBudgetAreRejected) {
+  WireWorkloadConfig config;  // softcell-serverd --k 4 --clauses 1100
+  config.num_clauses = 1100;
+  config.shards = 4;
+  const CellularTopology topo = config.make_topology();
+  std::vector<ClauseId> clauses;
+  BrainBundle bundle(topo,
+                     make_wire_policy(topo, config.num_clauses, &clauses),
+                     config.shards);
+  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
+  ControlPlaneRuntime runtime(
+      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
+  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+  ServerHarness h(dispatcher);
+  ASSERT_TRUE(h.ok());
+  net::WireConn conn;
+  std::string err;
+  ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
+
+  telemetry::Counter& rejects =
+      telemetry::Registry::global().counter("agg.tag_budget_rejects");
+  const std::uint64_t rejects_before = rejects.value();
+  const std::uint32_t budget = PortCodec(10).max_tags();
+  std::uint32_t not_ok = 0, max_tag = 0;
+  for (std::uint32_t c = 0; c < config.num_clauses; ++c) {
+    ofp::PacketInMsg msg;
+    msg.xid = c;
+    msg.kind = ofp::PacketInMsg::Kind::kPolicyPath;
+    msg.ue = UeId(c % config.total_ues() + 1);
+    msg.bs = 0;
+    msg.clause = clauses[c];
+    ASSERT_TRUE(conn.send_bytes(ofp::encode_packet_in(msg)));
+    const auto frame = conn.recv_frame(5000ms);
+    ASSERT_TRUE(frame);
+    const auto reply = ofp::decode_packet_in_reply(*frame);
+    ASSERT_TRUE(reply);
+    ASSERT_EQ(reply->xid, c);
+    if (!reply->ok) {
+      ++not_ok;
+      continue;
+    }
+    EXPECT_LT(reply->tag.value(), budget) << "clause " << c;
+    max_tag = std::max<std::uint32_t>(max_tag, reply->tag.value());
+  }
+  EXPECT_GT(not_ok, 0u);
+  EXPECT_EQ(max_tag, budget - 1);  // the budget is used up, not undercut
+  EXPECT_EQ(rejects.value() - rejects_before, not_ok);
 }
 
 // The serving stats surface in the global telemetry registry next to the

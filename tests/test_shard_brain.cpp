@@ -51,7 +51,8 @@ class ShardBrainTest : public ::testing::Test {
     SubscriberProfile p;
     p.provider = 0;
     p.plan = BillingPlan::kSilver;
-    const auto* c = brain_.policy_snapshot()->match(p, app);
+    const auto policy = brain_.policy_snapshot();  // outlives *c
+    const auto* c = policy->match(p, app);
     EXPECT_NE(c, nullptr);
     return c->id;
   }
@@ -65,26 +66,27 @@ TEST_F(ShardBrainTest, CommitPublishesViewBeforeReturning) {
   const UeId ue = provision();
   const auto clause = clause_for(AppType::kWeb);
   const auto tag = brain_.request_policy_path(ue, 5, clause);
-  // Read-your-writes: the snapshot loaded after the commit returned must
+  // Read-your-writes: the slot loaded after the commit returned must
   // already carry the tag -- no "install done, view lagging" window.
-  const auto view = brain_.path_view();
-  const PolicyTag* seen = view->path(clause, 5);
-  ASSERT_NE(seen, nullptr);
+  const auto seen = brain_.committer().slots().get(clause, 5);
+  ASSERT_TRUE(seen.has_value());
   EXPECT_EQ(*seen, tag);
-  EXPECT_GT(view->version, 0u);
+  EXPECT_GT(brain_.committer().publishes(), 0u);
 }
 
 TEST_F(ShardBrainTest, WarmHitSkipsCommitStage) {
   const UeId ue = provision();
   const auto clause = clause_for(AppType::kWeb);
   const auto t1 = brain_.request_policy_path(ue, 2, clause);
-  const auto version = brain_.path_view()->version;
+  const auto publishes = brain_.committer().publishes();
+  const auto version = brain_.committer().slots().version();
   const auto installs = brain_.core().path_installs();
-  // Second request resolves from the published view: same tag, no new
-  // view version, no core install.
+  // Second request resolves from the published slot: same tag, no new
+  // publish, no re-tag, no core install.
   const auto t2 = brain_.request_policy_path(ue, 2, clause);
   EXPECT_EQ(t1, t2);
-  EXPECT_EQ(brain_.path_view()->version, version);
+  EXPECT_EQ(brain_.committer().publishes(), publishes);
+  EXPECT_EQ(brain_.committer().slots().version(), version);
   EXPECT_EQ(brain_.core().path_installs(), installs);
 }
 
@@ -173,20 +175,21 @@ TEST_F(ShardBrainTest, StaleViewHealsAfterDirectCoreMutation) {
   const auto clause = clause_for(AppType::kWeb);
   const auto old_tag = brain_.request_policy_path(ue, 4, clause);
   // Quiescent maintenance path: migrate straight on the core, bypassing
-  // the commit stage.  The published view still holds the old tag...
+  // the commit stage.  The published slot still holds the old tag...
   const auto mig = brain_.core().migrate_path(4, clause);
   ASSERT_EQ(mig.old_tag, old_tag);
-  const auto stale_view = brain_.path_view();  // keep *stale alive
-  const PolicyTag* stale = stale_view->path(clause, 4);
-  ASSERT_NE(stale, nullptr);
+  const auto stale = brain_.committer().slots().get(clause, 4);
+  ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(*stale, old_tag);
-  // ...until the staleness mark forces the next consumer to republish.
+  const auto version = brain_.committer().slots().version();
+  // ...until the staleness mark forces the next reader to resync, as one
+  // bulk re-tag.
   brain_.mark_view_stale();
   EXPECT_EQ(brain_.request_policy_path(ue, 4, clause), mig.new_tag);
-  const auto healed_view = brain_.path_view();  // keep *healed alive
-  const PolicyTag* healed = healed_view->path(clause, 4);
-  ASSERT_NE(healed, nullptr);
+  const auto healed = brain_.committer().slots().get(clause, 4);
+  ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(*healed, mig.new_tag);
+  EXPECT_EQ(brain_.committer().slots().version(), version + 2);
 }
 
 TEST_F(ShardBrainTest, FailoverRebuildRepartitionsByShard) {

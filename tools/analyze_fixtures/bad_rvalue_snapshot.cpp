@@ -1,39 +1,41 @@
 // softcell-analyze fixture: MUST trigger rvalue-snapshot-deref (twice).
 //
-// Reproduces the literal PR 8 warm-hit use-after-free (DESIGN.md §12.4):
-// the shared_ptr<PathView> snapshot is a *temporary*, so the view -- and
-// the PolicyTag the returned pointer aims into -- can retire
-// mid-statement once a racing commit republishes.
+// The warm-hit use-after-free shape of DESIGN.md §12.4 on the RCU snapshot
+// src/ still publishes: policy_snapshot() returns the policy by value, so
+// the snapshot -- and the clause the returned pointer aims into -- can
+// retire mid-statement once a racing update_policy swaps it.
 #include <memory>
 
 namespace softcell {
 
-struct PolicyTag {
-  unsigned value = 0;
+struct PolicyClause {
+  unsigned id = 0;
 };
 
-struct PathView {
-  PolicyTag tag;
-  const PolicyTag* path(unsigned clause, unsigned bs) const {
-    (void)clause;
-    (void)bs;
-    return &tag;
+struct ServicePolicy {
+  PolicyClause clause;
+  const PolicyClause* match(unsigned provider, unsigned app) const {
+    (void)provider;
+    (void)app;
+    return &clause;
   }
 };
 
-struct Committer {
-  std::shared_ptr<const PathView> view_;
-  std::shared_ptr<const PathView> view() const { return view_; }
+struct Brain {
+  std::shared_ptr<const ServicePolicy> policy_;
+  std::shared_ptr<const ServicePolicy> policy_snapshot() const {
+    return policy_;
+  }
 };
 
-unsigned warm_hit(const Committer& committer, unsigned clause, unsigned bs) {
-  if (const PolicyTag* tag = committer.view()->path(clause, bs))  // BAD
-    return tag->value;
+unsigned clause_for(const Brain& brain, unsigned provider, unsigned app) {
+  if (const PolicyClause* c = brain.policy_snapshot()->match(provider, app))  // BAD
+    return c->id;
   return 0;
 }
 
-const PathView* escape(const Committer& committer) {
-  return committer.view().get();  // BAD: raw pointer outlives the temporary
+const ServicePolicy* escape(const Brain& brain) {
+  return brain.policy_snapshot().get();  // BAD: raw pointer escapes
 }
 
 }  // namespace softcell

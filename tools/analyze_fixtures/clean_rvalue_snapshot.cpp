@@ -7,39 +7,41 @@
 
 namespace softcell {
 
-struct PolicyTag {
-  unsigned value = 0;
+struct PolicyClause {
+  unsigned id = 0;
 };
 
-struct PathView {
-  PolicyTag tag;
-  const PolicyTag* path(unsigned clause, unsigned bs) const {
-    (void)clause;
-    (void)bs;
-    return &tag;
+struct ServicePolicy {
+  PolicyClause clause;
+  const PolicyClause* match(unsigned provider, unsigned app) const {
+    (void)provider;
+    (void)app;
+    return &clause;
   }
 };
 
-struct Committer {
-  std::shared_ptr<const PathView> view_;
-  std::shared_ptr<const PathView> view() const { return view_; }
+struct Brain {
+  std::shared_ptr<const ServicePolicy> policy_;
+  std::shared_ptr<const ServicePolicy> policy_snapshot() const {
+    return policy_;
+  }
 };
 
-unsigned warm_hit_pinned(const Committer& committer, unsigned clause,
-                         unsigned bs) {
-  const auto view = committer.view();  // pinned: outlives the dereference
-  if (const PolicyTag* tag = view->path(clause, bs)) return tag->value;
+unsigned clause_for_pinned(const Brain& brain, unsigned provider,
+                           unsigned app) {
+  const auto policy = brain.policy_snapshot();  // pinned past the deref
+  if (const PolicyClause* c = policy->match(provider, app)) return c->id;
   return 0;
 }
 
-std::shared_ptr<const PathView> forward(const Committer& committer) {
-  return committer.view();  // OK: ownership transfers to the caller
+std::shared_ptr<const ServicePolicy> forward(const Brain& brain) {
+  return brain.policy_snapshot();  // OK: ownership transfers to the caller
 }
 
-void consume(std::shared_ptr<const PathView> view);
+void consume(std::shared_ptr<const ServicePolicy> policy);
 
-void pass_through(const Committer& committer) {
-  consume(committer.view());  // OK: alive for the whole full-expression
+void pass_through(const Brain& brain) {
+  consume(brain.policy_snapshot());  // OK: alive for the whole full-expression
 }
 
 }  // namespace softcell

@@ -174,17 +174,17 @@ class Src:
             f"make_asts: anchor '{needle}' (#{nth}) not found in {self.path}")
 
 
-SHARED = "std::shared_ptr<const softcell::PathView>"
-TAGP = "const softcell::PolicyTag *"
-VIEWP = "const softcell::PathView *"
+SHARED = "std::shared_ptr<const softcell::ServicePolicy>"
+CLAUSEP = "const softcell::PolicyClause *"
+POLICYP = "const softcell::ServicePolicy *"
 
 
-def view_producer(src, line):
-    """committer.view() -- the snapshot-producing member call."""
+def policy_producer(src, line):
+    """brain.policy_snapshot() -- the snapshot-producing member call."""
     return mcall(
-        member("view", cast(declref("committer", "const softcell::Committer",
-                                    line=line)),
-               "std::shared_ptr<const softcell::PathView> () const",
+        member("policy_snapshot",
+               cast(declref("brain", "const softcell::Brain", line=line)),
+               "std::shared_ptr<const softcell::ServicePolicy> () const",
                line=line),
         [], SHARED, line=line, vc="prvalue")
 
@@ -192,76 +192,76 @@ def view_producer(src, line):
 def build_bad_rvalue():
     src = Src("bad_rvalue_snapshot.cpp")
     f = src.path
-    l_warm = src.line_of("committer.view()->path(clause, bs)")
-    l_get = src.line_of("committer.view().get()")
+    l_warm = src.line_of("brain.policy_snapshot()->match(provider, app)")
+    l_get = src.line_of("brain.policy_snapshot().get()")
 
     warm_body = compound(
         ifstmt(
-            var("tag", TAGP,
+            var("c", CLAUSEP,
                 mcall(
-                    member("path",
+                    member("match",
                            opcall("operator->",
-                                  [cast(mtemp(view_producer(src, l_warm)))],
-                                  VIEWP, line=l_warm, vc="prvalue"),
-                           "const PolicyTag *(unsigned, unsigned) const",
+                                  [cast(mtemp(policy_producer(src, l_warm)))],
+                                  POLICYP, line=l_warm, vc="prvalue"),
+                           "const PolicyClause *(unsigned, unsigned) const",
                            line=l_warm, arrow=True),
-                    [cast(declref("clause", "unsigned int")),
-                     cast(declref("bs", "unsigned int"))],
-                    TAGP, line=l_warm),
+                    [cast(declref("provider", "unsigned int")),
+                     cast(declref("app", "unsigned int"))],
+                    CLAUSEP, line=l_warm),
                 line=l_warm),
-            cast(declref("tag", TAGP, line=l_warm)),
-            ret(member("value", cast(declref("tag", TAGP)),
+            cast(declref("c", CLAUSEP, line=l_warm)),
+            ret(member("id", cast(declref("c", CLAUSEP)),
                        "unsigned int", arrow=True), line=l_warm + 1),
             line=l_warm),
         ret(node("IntegerLiteral", type=ty("unsigned int"), value="0")),
-        line=src.line_of("unsigned warm_hit(") + 0)
+        line=src.line_of("unsigned clause_for(") + 0)
 
     escape_body = compound(
         ret(mcall(
-            member("get", mtemp(view_producer(src, l_get)),
-                   "const PathView *() const", line=l_get),
-            [], VIEWP, line=l_get, vc="prvalue"), line=l_get))
+            member("get", mtemp(policy_producer(src, l_get)),
+                   "const ServicePolicy *() const", line=l_get),
+            [], POLICYP, line=l_get, vc="prvalue"), line=l_get))
 
     return tu(
-        func("warm_hit", src.line_of("unsigned warm_hit("), f, warm_body),
-        func("escape", src.line_of("const PathView* escape("), f,
+        func("clause_for", src.line_of("unsigned clause_for("), f, warm_body),
+        func("escape", src.line_of("const ServicePolicy* escape("), f,
              escape_body))
 
 
 def build_clean_rvalue():
     src = Src("clean_rvalue_snapshot.cpp")
     f = src.path
-    l_pin = src.line_of("const auto view = committer.view();")
-    l_deref = src.line_of("view->path(clause, bs)")
-    l_fwd = src.line_of("return committer.view();")
-    l_arg = src.line_of("consume(committer.view());")
+    l_pin = src.line_of("const auto policy = brain.policy_snapshot();")
+    l_deref = src.line_of("policy->match(provider, app)")
+    l_fwd = src.line_of("return brain.policy_snapshot();")
+    l_arg = src.line_of("consume(brain.policy_snapshot());")
 
     pinned_body = compound(
-        declstmt(var("view", SHARED,
-                     cleanups(construct(mtemp(view_producer(src, l_pin)),
+        declstmt(var("policy", SHARED,
+                     cleanups(construct(mtemp(policy_producer(src, l_pin)),
                                         SHARED, line=l_pin)),
                      line=l_pin)),
         ifstmt(
-            var("tag", TAGP,
+            var("c", CLAUSEP,
                 mcall(
-                    member("path",
+                    member("match",
                            opcall("operator->",
-                                  [declref("view", SHARED, line=l_deref)],
-                                  VIEWP, line=l_deref, vc="prvalue"),
-                           "const PolicyTag *(unsigned, unsigned) const",
+                                  [declref("policy", SHARED, line=l_deref)],
+                                  POLICYP, line=l_deref, vc="prvalue"),
+                           "const PolicyClause *(unsigned, unsigned) const",
                            line=l_deref, arrow=True),
-                    [cast(declref("clause", "unsigned int")),
-                     cast(declref("bs", "unsigned int"))],
-                    TAGP, line=l_deref),
+                    [cast(declref("provider", "unsigned int")),
+                     cast(declref("app", "unsigned int"))],
+                    CLAUSEP, line=l_deref),
                 line=l_deref),
-            cast(declref("tag", TAGP)),
-            ret(member("value", cast(declref("tag", TAGP)),
+            cast(declref("c", CLAUSEP)),
+            ret(member("id", cast(declref("c", CLAUSEP)),
                        "unsigned int", arrow=True), line=l_deref),
             line=l_deref),
         ret(node("IntegerLiteral", type=ty("unsigned int"), value="0")))
 
     forward_body = compound(
-        ret(construct(mtemp(view_producer(src, l_fwd)), SHARED, line=l_fwd),
+        ret(construct(mtemp(policy_producer(src, l_fwd)), SHARED, line=l_fwd),
             line=l_fwd))
 
     pass_body = compound(
@@ -272,11 +272,11 @@ def build_clean_rvalue():
                            referencedDecl={"id": _nid(),
                                            "kind": "FunctionDecl",
                                            "name": "consume"})),
-                 construct(mtemp(view_producer(src, l_arg)), SHARED,
+                 construct(mtemp(policy_producer(src, l_arg)), SHARED,
                            line=l_arg)]))
 
     return tu(
-        func("warm_hit_pinned", src.line_of("unsigned warm_hit_pinned("), f,
+        func("clause_for_pinned", src.line_of("unsigned clause_for_pinned("), f,
              pinned_body),
         func("forward", src.line_of("> forward("), f, forward_body),
         func("pass_through", src.line_of("void pass_through("), f, pass_body))

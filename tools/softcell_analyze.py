@@ -62,9 +62,9 @@ CHECKERS = ("rvalue-snapshot-deref", "handle-across-mutation", "lock-order-cycle
 # Type / name patterns grounding the checkers in the softcell tree.
 # ----------------------------------------------------------------------------
 
-# RCU snapshot payload types: anything published through VersionedSnapshot
-# or the CoreCommitter.  qualType strings look like
-# "std::shared_ptr<const softcell::PathView>".
+# RCU snapshot payload types: anything published through VersionedSnapshot.
+# qualType strings look like "std::shared_ptr<const softcell::ServicePolicy>"
+# (ShardBrain::policy_snapshot()); *View / *Snapshot payloads match too.
 SNAPSHOT_TYPE_RE = re.compile(
     r"shared_ptr<\s*(?:const\s+)?(?:[A-Za-z_]\w*::)*"
     r"(?:[A-Za-z_]\w*(?:View|Snapshot)|ServicePolicy)\s*>"
