@@ -8,7 +8,10 @@
 //   * SoftCell without tag reuse (policy dimension ablated);
 //   * SoftCell without the shared delivery tier (section 7 multi-table
 //     ablated);
-//   * candidate-cap sensitivity (the bounded candTag scan).
+//   * candidate-cap sensitivity (the bounded candTag scan);
+//   * arrival order: the same paths in a seeded shuffle of the (clause, bs)
+//     keys, with clause-home tags and without (no affinity key: Step 1's
+//     plain greedy choice).
 #include <cstdio>
 
 #include "core/baselines.hpp"
@@ -107,6 +110,15 @@ int main() {
   cap8.engine.max_candidates = 8;
   std::printf("%s\n", fig7_row("  candidate cap 8", run_fig7(cap8)).c_str());
 
+  Fig7Params shuffled = base;
+  shuffled.order = ArrivalOrder::kShuffled;
+  std::printf("%s\n",
+              fig7_row("  shuffled arrival", run_fig7(shuffled)).c_str());
+  Fig7Params greedy = shuffled;
+  greedy.clause_homes = false;
+  std::printf("%s\n",
+              fig7_row("  shuffled, no clause key", run_fig7(greedy)).c_str());
+
   Fig7Params mixed = base;
   mixed.mode = InstanceMode::kMixed;
   std::printf("%s\n",
@@ -121,7 +133,9 @@ int main() {
 
   std::printf("\nReading: tag reuse and the shared delivery tier each cut"
               " table state by an order of magnitude; the bounded candidate"
-              " scan costs little versus a wider cap; flat per-path tags and"
-              " per-microflow rules blow far past TCAM capacity.\n");
+              " scan costs little versus a wider cap; clause-home tags keep"
+              " shuffled arrival at the clause-major tables, where greedy"
+              " Step 1 spreads every clause over every tag; flat per-path"
+              " tags and per-microflow rules blow far past TCAM capacity.\n");
   return 0;
 }

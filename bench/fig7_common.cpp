@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "core/path.hpp"
@@ -92,32 +94,69 @@ Fig7Result run_fig7(const Fig7Params& params) {
   Rng rng(params.seed * 1315423911ull + 3);
 
   Fig7Result result;
-  result.base_stations = topo.num_base_stations();
+  const std::uint32_t nbs = topo.num_base_stations();
+  result.base_stations = nbs;
 
-  for (std::uint32_t c = 0; c < params.clauses && !result.rejected; ++c) {
-    const ClauseSpec spec = make_clause(topo, params.mode, params.length, rng);
-    std::optional<PolicyTag> hint;
+  // Clauses and their per-path draws come from the generator in clause-
+  // major order whatever the arrival order, so both orders install the
+  // same paths.  Only kRandomPerPath draws per path; its instance lists
+  // are kept per (clause, bs).
+  std::vector<ClauseSpec> specs;
+  std::vector<std::vector<std::vector<NodeId>>> per_path;
+  for (std::uint32_t c = 0; c < params.clauses; ++c) {
+    specs.push_back(make_clause(topo, params.mode, params.length, rng));
     Rng path_rng = rng.split();
-    for (std::uint32_t bs = 0; bs < topo.num_base_stations(); ++bs) {
-      const auto instances =
-          resolve_instances(topo, spec, params.mode, bs, path_rng);
-      const auto path = expand_policy_path(topo.graph(), routes,
-                                           Direction::kDownlink,
-                                           topo.access_switch(bs), instances,
-                                           topo.gateway(), topo.internet());
-      try {
-        const auto r = engine.install(path, bs, topo.bs_prefix(bs), hint);
-        hint = r.tag;
-        result.loop_splits += r.extra_tags;
-        ++result.paths_installed;
-      } catch (const AggregationEngine::PathRejected&) {
-        result.rejected = true;
-        if (!params.stop_on_reject) throw;
-        break;
-      }
-    }
-    if (!result.rejected) ++result.clauses_admitted;
+    if (params.mode != InstanceMode::kRandomPerPath) continue;
+    auto& lists = per_path.emplace_back(nbs);
+    for (std::uint32_t bs = 0; bs < nbs; ++bs)
+      lists[bs] = resolve_instances(topo, specs[c], params.mode, bs, path_rng);
   }
+
+  // Key q = clause * nbs + bs; the shuffled order is a seeded permutation.
+  const std::uint64_t keys = std::uint64_t{params.clauses} * nbs;
+  std::vector<std::uint32_t> shuffled;
+  if (params.order == ArrivalOrder::kShuffled) {
+    shuffled.resize(keys);
+    std::iota(shuffled.begin(), shuffled.end(), 0u);
+    Rng order_rng(params.seed * 0x9E3779B97F4A7C15ull + 11);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+      std::swap(shuffled[i - 1], shuffled[order_rng.next_below(i)]);
+  }
+
+  std::vector<std::optional<PolicyTag>> hints(params.clauses);
+  std::vector<std::uint32_t> installed(params.clauses, 0);
+  Rng unused_rng;
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const std::uint64_t q = shuffled.empty() ? i : shuffled[i];
+    const auto c = static_cast<std::uint32_t>(q / nbs);
+    const auto bs = static_cast<std::uint32_t>(q % nbs);
+    const auto instances =
+        per_path.empty()
+            ? resolve_instances(topo, specs[c], params.mode, bs, unused_rng)
+            : per_path[c][bs];
+    const auto path = expand_policy_path(topo.graph(), routes,
+                                         Direction::kDownlink,
+                                         topo.access_switch(bs), instances,
+                                         topo.gateway(), topo.internet());
+    try {
+      const auto r = engine.install(
+          path, bs, topo.bs_prefix(bs), hints[c], /*pin=*/false,
+          std::nullopt,
+          params.clause_homes ? std::optional<std::uint64_t>(c)
+                              : std::nullopt);
+      hints[c] = r.tag;
+      result.loop_splits += r.extra_tags;
+      ++result.paths_installed;
+      ++installed[c];
+    } catch (const AggregationEngine::PathRejected&) {
+      result.rejected = true;
+      if (!params.stop_on_reject) throw;
+      break;
+    }
+  }
+  // Complete clauses: every base station's path installed.
+  for (const std::uint32_t n : installed)
+    if (n == nbs) ++result.clauses_admitted;
 
   const auto stats = engine.table_stats();
   for (auto v : stats.fabric_sizes) result.fabric_sizes.add_count(v);

@@ -40,6 +40,16 @@ enum class InstanceMode {
   kRandomPerPath,
 };
 
+// The order the (clause, base station) paths reach the engine in.
+enum class ArrivalOrder {
+  // All base stations of clause 0, then of clause 1, ... -- the offline
+  // order, and the paper's.  Default.
+  kClauseMajor,
+  // A seeded shuffle of all keys: flow misses interleave clauses and base
+  // stations, as they reach a live controller.
+  kShuffled,
+};
+
 struct Fig7Params {
   std::uint32_t k = 8;
   std::uint32_t clauses = 1000;
@@ -47,6 +57,11 @@ struct Fig7Params {
   std::uint64_t seed = 7;
   InstanceMode mode = InstanceMode::kSharedPerClause;
   CoreStripe stripe = CoreStripe::kBlocked;
+  ArrivalOrder order = ArrivalOrder::kClauseMajor;
+  // Pass the clause index as each install's affinity key (clause-home
+  // tags, DESIGN.md section 7), as the controller does.  false ablates it:
+  // Step 1 then takes the cheapest tag of any clause.
+  bool clause_homes = true;
   EngineOptions engine{.max_candidates = 32, .track_paths = false};
   // Enforce a per-switch TCAM capacity and stop at the first rejected path
   // (the headline-capacity experiment).

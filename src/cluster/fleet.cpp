@@ -116,6 +116,17 @@ void ControllerFleet::rebuild_partition_locked(std::size_t r,
   if (!query_) return;
   query_([&](UeId ue, UeLocation loc) {
     if (partition_of_locked(loc.bs) != partition) return;
+    // Agent truth can run ahead of the fleet: a handoff into this
+    // partition that update_location() has not reported yet.  The old
+    // partition's reachable holder forgets the UE now, as that call would
+    // have had it -- once ue_bs_ moves here, the late report sees no
+    // partition change and detaches nobody.
+    if (const auto it = ue_bs_.find(ue); it != ue_bs_.end()) {
+      const std::uint32_t p_old = partition_of_locked(it->second);
+      const std::optional<std::size_t> prev = leases_[p_old].owner;
+      if (p_old != partition && prev && *prev != r && eligible_locked(*prev))
+        replicas_[*prev]->detach_ue(ue);
+    }
     replicas_[r]->update_location(ue, loc.bs, loc.local);
     ue_bs_[ue] = loc.bs;
     ++stats_.rebuilt_locations;

@@ -147,11 +147,7 @@ PolicyTag AggregationEngine::alloc_tag() {
     free_tags_.pop_back();
     if (!tag_refs_.contains(t)) return t;
   }
-  const std::uint32_t bound =
-      options_.max_tags != 0
-          ? options_.max_tags
-          : static_cast<std::uint32_t>(PolicyTag::kInvalid);
-  if (next_tag_ >= bound) {
+  if (next_tag_ >= tag_bound()) {
     static telemetry::Counter& rejects =
         telemetry::Registry::global().counter("agg.tag_budget_rejects");
     rejects.add(1);
@@ -160,8 +156,12 @@ PolicyTag AggregationEngine::alloc_tag() {
   return PolicyTag(static_cast<PolicyTag::rep_type>(next_tag_++));
 }
 
-void AggregationEngine::ref_tag(PolicyTag t, std::uint64_t bs_dir) {
-  ++tag_refs_[t];
+void AggregationEngine::ref_tag(PolicyTag t, std::uint64_t bs_dir,
+                                std::uint64_t home) {
+  if (++tag_refs_[t] == 1) {
+    if (tag_home_.size() <= t.value()) tag_home_.resize(t.value() + 1, kNoHome);
+    tag_home_[t.value()] = home;
+  }
   if (!bs_tags_[bs_dir].insert(t).second)
     throw std::logic_error("ref_tag: tag already used by this base station");
 }
@@ -175,6 +175,7 @@ void AggregationEngine::unref_tag(PolicyTag t, std::uint64_t bs_dir) {
   if (it == tag_refs_.end()) throw std::logic_error("unref_tag: unknown tag");
   if (--it->second == 0) {
     tag_refs_.erase(it);
+    tag_home_[t.value()] = kNoHome;
     free_tags_.push_back(t);
   }
 }
@@ -370,9 +371,11 @@ std::uint32_t AggregationEngine::fast_hop_cost(const SwitchTable& tbl,
 AggregationEngine::InstallResult AggregationEngine::install(
     const ExpandedPath& path, std::uint32_t bs_index, Prefix origin,
     std::optional<PolicyTag> hint, bool pin,
-    std::optional<std::uint64_t> exclude_also) {
+    std::optional<std::uint64_t> exclude_also,
+    std::optional<std::uint64_t> affinity) {
   const Direction dir = path.dir;
   const std::uint64_t bsd = bs_key(bs_index, dir);
+  const std::uint64_t home = affinity.value_or(kNoHome);
   if (pin && !hint)
     throw std::invalid_argument("install: pin requires a hint tag");
   SC_TRACE_SPAN_ARG("engine.install", bs_index);
@@ -610,6 +613,17 @@ AggregationEngine::InstallResult AggregationEngine::install(
   auto best_cost = static_cast<std::uint32_t>(seg0_hops);  // brand-new tag
   PolicyTag best_tag{};
   const std::size_t cap = options_.max_candidates;
+  // Clause-home tags: while the budget still holds a fresh tag for every
+  // segment of this path (counted from live tags -- free_tags_ can hold
+  // tags taken live again), a keyed install skips tags homed to another
+  // key.  Past that point Step 1 is the plain greedy scan.
+  const bool keep_home =
+      home != kNoHome && tag_refs_.size() + plan.segments <= tag_bound();
+  const auto homed_elsewhere = [&](PolicyTag t) {
+    if (!keep_home || t.value() >= tag_home_.size()) return false;
+    const std::uint64_t h = tag_home_[t.value()];
+    return h != kNoHome && h != home;
+  };
   if (pin) {
     if (tag_used_by_bs(bsd, *hint))
       throw std::logic_error("install: pinned tag already used here");
@@ -651,7 +665,8 @@ AggregationEngine::InstallResult AggregationEngine::install(
       if (mark == mark_gen_) return true;
       mark = mark_gen_;
       if ((bsd_set != nullptr && bsd_set->contains(t)) ||
-          (excl_set != nullptr && excl_set->contains(t)))
+          (excl_set != nullptr && excl_set->contains(t)) ||
+          homed_elsewhere(t))
         return true;
       ++accepted;
       const std::uint32_t c =
@@ -698,7 +713,8 @@ AggregationEngine::InstallResult AggregationEngine::install(
       if (cap != 0 && cands.size() >= cap) return false;
       if (!t.valid() || t == kDeliveryTag || dedup.contains(t) ||
           tag_used_by_bs(bsd, t) ||
-          (exclude_also && tag_used_by_bs(*exclude_also, t)))
+          (exclude_also && tag_used_by_bs(*exclude_also, t)) ||
+          homed_elsewhere(t))
         return true;
       dedup.insert(t);
       cands.push_back(t);
@@ -744,35 +760,32 @@ AggregationEngine::InstallResult AggregationEngine::install(
   result.reused_tag = best_tag.valid();
   SmallVector<PolicyTag, 8> seg_tags;
   seg_tags.resize(plan.segments, PolicyTag{});
-  if (!best_tag.valid()) {
-    // Fresh allocation; skip tags live in the excluded partner namespace.
-    SmallVector<PolicyTag, 8> skipped;
-    best_tag = alloc_tag();
-    while (exclude_also && tag_used_by_bs(*exclude_also, best_tag)) {
-      skipped.push_back(best_tag);
-      best_tag = alloc_tag();
-    }
-    for (PolicyTag t : skipped) free_tags_.push_back(t);
-    result.reused_tag = false;
-    seg_tags[0] = best_tag;
-  } else {
-    seg_tags[0] = best_tag;
-  }
+  // Each tag is referenced as soon as it is chosen: the winning candidate
+  // may be a free tag (from the MRU list) that alloc_tag() would otherwise
+  // hand out again for a later segment.  A fresh tag is never live, so it
+  // cannot collide with the excluded partner namespace.  If the budget
+  // runs dry before the last segment has a tag, the path takes none.
   const auto seg_key = [&](std::uint32_t s) {
     return (static_cast<std::uint64_t>(seg_tags[0].value()) << 8) | s;
   };
-  for (std::uint32_t s = 1; s < plan.segments; ++s) {
-    // Prefer the tag other paths with the same primary tag used for this
-    // segment -- their segment rules then share and aggregate too.
-    PolicyTag cand{};
-    if (const auto it = seg_hints_.find(seg_key(s)); it != seg_hints_.end())
-      cand = it->second;
-    bool usable = cand.valid() && !tag_used_by_bs(bsd, cand);
-    for (std::uint32_t j = 0; usable && j < s; ++j)
-      if (seg_tags[j] == cand) usable = false;
-    seg_tags[s] = usable ? cand : alloc_tag();
+  try {
+    for (std::uint32_t s = 0; s < plan.segments; ++s) {
+      // Prefer the tag other paths with the same primary tag used for this
+      // segment -- their segment rules then share and aggregate too.
+      PolicyTag cand = best_tag;
+      if (s > 0) {
+        const auto it = seg_hints_.find(seg_key(s));
+        cand = it != seg_hints_.end() ? it->second : PolicyTag{};
+        if (cand.valid() && tag_used_by_bs(bsd, cand)) cand = PolicyTag{};
+      }
+      seg_tags[s] = cand.valid() ? cand : alloc_tag();
+      ref_tag(seg_tags[s], bsd, home);
+    }
+  } catch (const TagBudgetExhausted&) {
+    for (PolicyTag t : seg_tags)
+      if (t.valid()) unref_tag(t, bsd);
+    throw;
   }
-  for (PolicyTag t : seg_tags) ref_tag(t, bsd);
   for (std::uint32_t s = 1; s < plan.segments; ++s)
     seg_hints_[seg_key(s)] = seg_tags[s];
 
@@ -858,8 +871,8 @@ std::vector<AggregationEngine::InstallResult> AggregationEngine::install_paths(
   std::vector<InstallResult> out;
   out.reserve(requests.size());
   for (const InstallRequest& r : requests)
-    out.push_back(
-        install(*r.path, r.bs_index, r.origin, r.hint, r.pin, r.exclude_also));
+    out.push_back(install(*r.path, r.bs_index, r.origin, r.hint, r.pin,
+                          r.exclude_also, r.affinity));
   return out;
 }
 

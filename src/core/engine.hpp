@@ -99,7 +99,7 @@ struct EngineOptions {
   bool fastpath = true;
 };
 
-// Hot-path counters of the aggregation engine (reset_perf() to rewindow).
+// Hot-path counters of the aggregation engine, monotonic over its life.
 // Exposed per shard through the runtime metrics aggregation.
 struct AggPerf {
   std::uint64_t installs = 0;
@@ -160,11 +160,17 @@ class AggregationEngine {
   // `exclude_also`: an additional (bs, direction) namespace whose tags the
   // candidate search must avoid -- the controller excludes the downlink
   // namespace while choosing the uplink tag it will later pin downlink.
+  // `affinity`: the install's home key (the controller passes the clause).
+  // A tag is homed to the key of the install that takes it from free to
+  // live, until its last reference goes; while the tag budget still holds
+  // a fresh tag for every segment of the path, Step 1 skips candidates
+  // homed to another key (DESIGN.md section 7, "Clause-home tags").
   InstallResult install(const ExpandedPath& path, std::uint32_t bs_index,
                         Prefix origin,
                         std::optional<PolicyTag> hint = std::nullopt,
                         bool pin = false,
-                        std::optional<std::uint64_t> exclude_also = std::nullopt);
+                        std::optional<std::uint64_t> exclude_also = std::nullopt,
+                        std::optional<std::uint64_t> affinity = std::nullopt);
 
   // Batched install: one request per element, executed in order.  Callers
   // that can reorder should sort by (bs, clause) first -- the controller's
@@ -179,6 +185,7 @@ class AggregationEngine {
     std::optional<PolicyTag> hint;
     bool pin = false;
     std::optional<std::uint64_t> exclude_also;
+    std::optional<std::uint64_t> affinity;
   };
   std::vector<InstallResult> install_paths(
       std::span<const InstallRequest> requests);
@@ -230,9 +237,15 @@ class AggregationEngine {
 
   // Fast-path counters (candidate scans, memo hits/misses, scratch reuse).
   [[nodiscard]] const AggPerf& perf() const { return perf_; }
-  void reset_perf() { perf_ = AggPerf{}; }
   // Number of tags currently parked on the free list (tests).
   [[nodiscard]] std::size_t free_tag_count() const { return free_tags_.size(); }
+  // Home key of a live tag; nullopt for a free tag or one taken live by an
+  // install without an affinity key (tests).
+  [[nodiscard]] std::optional<std::uint64_t> tag_home(PolicyTag t) const {
+    if (t.value() >= tag_home_.size() || tag_home_[t.value()] == kNoHome)
+      return std::nullopt;
+    return tag_home_[t.value()];
+  }
   // Total (bs, direction)-namespace tag references (tests: leak detection).
   [[nodiscard]] std::size_t bs_tag_refs() const {
     std::size_t n = 0;
@@ -285,8 +298,17 @@ class AggregationEngine {
   }
 
  private:
+  // Exclusive upper bound on tag values (EngineOptions::max_tags, or the
+  // full 16-bit space); tag 0 is the delivery tag, so bound - 1 are usable.
+  [[nodiscard]] std::uint32_t tag_bound() const {
+    return options_.max_tags != 0
+               ? options_.max_tags
+               : static_cast<std::uint32_t>(PolicyTag::kInvalid);
+  }
   PolicyTag alloc_tag();
-  void ref_tag(PolicyTag t, std::uint64_t bs_dir);
+  // References `t` for `bs_dir`; the reference that takes `t` live homes it
+  // to `home` (kNoHome: unhomed).
+  void ref_tag(PolicyTag t, std::uint64_t bs_dir, std::uint64_t home);
   void unref_tag(PolicyTag t, std::uint64_t bs_dir);
   void touch_mru(PolicyTag t);
   [[nodiscard]] bool tag_used_by_bs(std::uint64_t bs_dir, PolicyTag t) const;
@@ -417,6 +439,9 @@ class AggregationEngine {
   std::uint32_t next_tag_ = 0;
   std::vector<PolicyTag> free_tags_;
   FlatMap<PolicyTag, std::uint32_t> tag_refs_;
+  // Home key per tag value (kNoHome while free or unhomed); see install().
+  static constexpr std::uint64_t kNoHome = ~std::uint64_t{0};
+  std::vector<std::uint64_t> tag_home_;
   FlatMap<std::uint64_t, FlatSet<PolicyTag>> bs_tags_;
   std::deque<PolicyTag> mru_;
   // Loop-split segments reuse tags across paths: all paths sharing primary

@@ -180,13 +180,15 @@ Controller::InstalledPath Controller::install_path_locked(
   // the gateway sees the same one piggybacked back (section 4.1).
   // The uplink tag choice must avoid anything live in this base station's
   // downlink namespace (e.g. tags of M2M half-paths toward it), because the
-  // downlink direction is pinned to the same tag next.
+  // downlink direction is pinned to the same tag next.  The clause is the
+  // affinity key: Step 1 keeps each clause on its own home tags.
   const auto up_res = engine_.install(
       up, bs, origin, hint, /*pin=*/false,
-      AggregationEngine::bs_key(bs, Direction::kDownlink));
+      AggregationEngine::bs_key(bs, Direction::kDownlink), clause.value());
   InstallResultAlias down_res;
   try {
-    down_res = engine_.install(down, bs, origin, up_res.tag, /*pin=*/true);
+    down_res = engine_.install(down, bs, origin, up_res.tag, /*pin=*/true,
+                               std::nullopt, clause.value());
   } catch (...) {
     // Deny the whole request (a full table, or a segment tag past the
     // port budget), never a half-installed direction.

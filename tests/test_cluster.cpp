@@ -263,6 +263,34 @@ TEST_F(FleetTest, ForceExpireBumpsEpochOnNextOperation) {
                std::out_of_range);
 }
 
+TEST_F(FleetTest, RebuildFromAgentTruthForgetsTheOldPartitionsCopy) {
+  // The agent already serves UE 1 at bs 1 when a takeover of bs 1's
+  // partition rebuilds from agent truth; the fleet still files the UE
+  // under bs 0, whose partition another replica owns.  That replica must
+  // forget the UE then, or the handoff reported afterwards sees no
+  // partition change and leaves two holders.
+  const std::uint32_t p0 = partition_of_bs(0, fleet_.partition_count());
+  const std::uint32_t p1 = partition_of_bs(1, fleet_.partition_count());
+  ASSERT_NE(p0, p1);
+  ASSERT_NE(expected_owner(p0, 3), expected_owner(p1, 3));
+
+  const UeId ue = add_ue(1, 0);
+  truth_[ue] = UeLocation{1, LocalUeId(1)};
+  fleet_.force_expire(p1);
+  (void)fleet_.fetch_classifiers(ue, 1);  // takeover: rebuild of p1
+  move_ue(ue, 1);
+  fleet_.settle();
+
+  EXPECT_FALSE(fleet_.replica(expected_owner(p0, 3))
+                   .store()
+                   .location(ue)
+                   .has_value());
+  const auto loc = fleet_.ue_location(ue);
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->bs, 1u);
+  expect_clean_audit();
+}
+
 TEST_F(FleetTest, IsolationMissesWritesAndHealReplaysThem) {
   add_ue(1, 0);
   fleet_.isolate(1);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "util/rng.hpp"
+#include "workload/wire_workload.hpp"
+
 namespace softcell {
 namespace {
 
@@ -233,6 +239,90 @@ TEST(ControllerTagBudget, DeniedInstallsLeaveNoLoadBehind) {
   for (const auto& inst : topo.middleboxes())
     load += ctrl.instance_load(inst.node);
   EXPECT_EQ(load, installed);  // one firewall per installed path
+}
+
+// Every (bs, clause) key of `clauses` at `num_bs` base stations, as
+// bs * clauses + clause, in a seeded Fisher-Yates shuffle: the order flow
+// misses reach the controller in.
+std::vector<std::uint32_t> shuffled_keys(std::uint32_t num_bs,
+                                         std::uint32_t clauses,
+                                         std::uint64_t seed) {
+  std::vector<std::uint32_t> order(num_bs * clauses);
+  std::iota(order.begin(), order.end(), 0u);
+  Rng rng(seed);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  return order;
+}
+
+std::size_t fabric_rules(const Controller& ctrl) {
+  const auto sizes = ctrl.engine().table_stats().fabric_sizes;
+  return std::accumulate(sizes.begin(), sizes.end(), std::size_t{0});
+}
+
+// Clause-home tags (DESIGN.md section 7): with keys arriving interleaved
+// across clauses and base stations, online Algorithm 1 stays within 1.2x
+// of the clause-major recompact() rebuild, and the reference scan picks
+// the same tag for every key.  Greedy Step 1 left about 4.5x the floor.
+TEST(ControllerArrivalOrder, ShuffledKeysStayNearTheRecompactFloor) {
+  const CellularTopology topo({.k = 4, .seed = 1});
+  std::vector<ClauseId> clauses;
+  const ServicePolicy policy = make_wire_policy(topo, 16, &clauses);
+  const auto n = static_cast<std::uint32_t>(clauses.size());
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto order = shuffled_keys(topo.num_base_stations(), n, seed);
+    std::vector<PolicyTag> tags[2];
+    for (const bool fastpath : {true, false}) {
+      ControllerOptions options = with_port_tag_budget({});
+      options.engine.fastpath = fastpath;
+      Controller ctrl(topo, policy, options);
+      for (const std::uint32_t q : order)
+        tags[fastpath].push_back(
+            ctrl.request_policy_path(q / n, clauses[q % n]));
+      const std::size_t online = fabric_rules(ctrl);
+      ctrl.recompact();
+      const std::size_t floor = fabric_rules(ctrl);
+      EXPECT_LE(online * 5, floor * 6)
+          << "seed " << seed << " fastpath " << fastpath << ": " << online
+          << " rules online, " << floor << " after recompact";
+    }
+    EXPECT_EQ(tags[0], tags[1]) << "seed " << seed;
+  }
+}
+
+// Past the tag budget Step 1 falls back to the greedy scan: with more
+// clauses than tags, but fewer clauses at any one base station than tags,
+// every request is admitted, as greedy Step 1 alone admits them.  Clause
+// homes spend the whole budget first; greedy alone packs these keys onto
+// four tags.
+TEST(ControllerTagBudget, SparseClausesPastTheBudgetAreAllAdmitted) {
+  const CellularTopology topo({.k = 4, .seed = 1});
+  ServicePolicy policy;
+  std::vector<ClauseId> clauses;
+  for (std::uint32_t c = 0; c < 20; ++c)
+    clauses.push_back(policy.add_clause(
+        10 + c, Predicate::provider_is(100 + c),
+        ServiceAction{true, {mb::kFirewall}, QosClass::kBestEffort}));
+  // Four clauses per base station, at bs * 3 + j: each clause shows up at
+  // a fifth of the base stations.
+  const std::uint32_t per_bs = 4;
+  const auto order = shuffled_keys(topo.num_base_stations(), per_bs, 5);
+  for (const bool fastpath : {true, false}) {
+    ControllerOptions options;
+    options.engine.max_tags = 8;  // 7 policy tags besides the delivery tag
+    options.engine.fastpath = fastpath;
+    Controller ctrl(topo, policy, options);
+    for (const std::uint32_t q : order) {
+      const std::uint32_t bs = q / per_bs;
+      const ClauseId clause = clauses[(bs * 3 + q % per_bs) % clauses.size()];
+      PolicyTag tag;
+      ASSERT_NO_THROW(tag = ctrl.request_policy_path(bs, clause))
+          << "bs " << bs << " clause " << clause.value();
+      EXPECT_LT(tag.value(), 8u);
+    }
+    EXPECT_EQ(ctrl.path_installs(), order.size());
+    EXPECT_EQ(ctrl.engine().tags_in_use(), 8u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Pins the Algorithm-1 fast path (EngineOptions::fastpath) to the
-// pre-fast-path reference scan: identical tag choices and rule state over
-// randomized workloads, exact tag recycling across uninstalls, and the
+// pre-fast-path reference scan: identical tag choices, tag homes and rule
+// state over randomized keyed workloads, exact tag recycling across
+// uninstalls (a freed tag loses its home), and the
 // incrementally maintained indexes (inverted tag-usage index, presence
 // bitset, per-class digest) agreeing with recounts from the authoritative
 // class map.
@@ -47,12 +48,32 @@ class EngineFastpathTest : public ::testing::Test {
     return c;
   }
 
-  AggregationEngine make_engine(bool fastpath, bool track_paths = false) {
+  AggregationEngine make_engine(bool fastpath, bool track_paths = false,
+                                std::uint32_t max_tags = 0) {
     EngineOptions opts;
     opts.fastpath = fastpath;
     opts.track_paths = track_paths;
     opts.max_candidates = 16;
+    opts.max_tags = max_tags;
     return AggregationEngine(topo_.graph(), opts);
+  }
+
+  // An affinity key drawn next to each clause: one of five homes, or (one
+  // draw in six) none, so keyed and unkeyed installs interleave.
+  static std::optional<std::uint64_t> random_key(Rng& rng) {
+    const std::uint64_t k = rng.next_below(6);
+    if (k == 5) return std::nullopt;
+    return k;
+  }
+
+  // Both engines hold the same home for every tag value ever allocated.
+  static void expect_same_homes(const AggregationEngine& a,
+                                const AggregationEngine& b) {
+    ASSERT_EQ(a.tags_allocated(), b.tags_allocated());
+    for (std::uint32_t t = 0; t < a.tags_allocated(); ++t) {
+      const PolicyTag tag(static_cast<std::uint16_t>(t));
+      ASSERT_EQ(a.tag_home(tag), b.tag_home(tag)) << "tag " << t;
+    }
   }
 
   // Full per-switch, per-direction comparison of the two engines' rule
@@ -100,28 +121,55 @@ class EngineFastpathTest : public ::testing::Test {
 
 // Tentpole pin: the indexed/memoized scoring path must pick the same tag
 // and produce the same rule delta as the reference scan on every install
-// of a randomized workload.
+// of a randomized workload -- with affinity keys, both while the tag
+// budget keeps clause homes and (max_tags 24) after it runs out and Step 1
+// falls back to the greedy scan, where the busiest base stations also
+// exhaust the budget outright.
 TEST_F(EngineFastpathTest, RandomizedDifferentialMatchesReferenceScan) {
-  auto fast = make_engine(/*fastpath=*/true);
-  auto ref = make_engine(/*fastpath=*/false);
-  Rng rng_f(2024), rng_r(2024);
-  constexpr std::uint32_t kClauses = 400;
-  constexpr std::uint32_t kBs = 16;
-  for (std::uint32_t i = 0; i < kClauses; ++i) {
-    const Direction dir =
-        (i % 4 == 0) ? Direction::kUplink : Direction::kDownlink;
-    const Clause cf = random_clause(rng_f, dir, kBs);
-    const Clause cr = random_clause(rng_r, dir, kBs);
-    ASSERT_EQ(cf.bs, cr.bs);
-    const auto rf =
-        fast.install(cf.path, cf.bs, topo_.bs_prefix(cf.bs), std::nullopt);
-    const auto rr =
-        ref.install(cr.path, cr.bs, topo_.bs_prefix(cr.bs), std::nullopt);
-    ASSERT_EQ(rf.tag, rr.tag) << "install " << i;
-    ASSERT_EQ(rf.new_rules, rr.new_rules) << "install " << i;
-    ASSERT_EQ(rf.reused_tag, rr.reused_tag) << "install " << i;
+  for (const std::uint32_t max_tags : {0u, 24u}) {
+    auto fast = make_engine(/*fastpath=*/true, /*track_paths=*/false, max_tags);
+    auto ref = make_engine(/*fastpath=*/false, /*track_paths=*/false, max_tags);
+    Rng rng_f(2024), rng_r(2024);
+    constexpr std::uint32_t kClauses = 400;
+    constexpr std::uint32_t kBs = 16;
+    std::uint32_t exhausted = 0;
+    for (std::uint32_t i = 0; i < kClauses; ++i) {
+      const Direction dir =
+          (i % 4 == 0) ? Direction::kUplink : Direction::kDownlink;
+      const Clause cf = random_clause(rng_f, dir, kBs);
+      const Clause cr = random_clause(rng_r, dir, kBs);
+      const auto key = random_key(rng_f);
+      ASSERT_EQ(key, random_key(rng_r));
+      ASSERT_EQ(cf.bs, cr.bs);
+      const auto install = [&](AggregationEngine& eng, const Clause& c)
+          -> std::optional<AggregationEngine::InstallResult> {
+        try {
+          return eng.install(c.path, c.bs, topo_.bs_prefix(c.bs),
+                             std::nullopt, false, std::nullopt, key);
+        } catch (const AggregationEngine::TagBudgetExhausted&) {
+          return std::nullopt;
+        }
+      };
+      const auto rf = install(fast, cf);
+      const auto rr = install(ref, cr);
+      ASSERT_EQ(rf.has_value(), rr.has_value()) << "install " << i;
+      if (!rf) {
+        ++exhausted;
+        continue;
+      }
+      ASSERT_EQ(rf->tag, rr->tag) << "install " << i;
+      ASSERT_EQ(rf->new_rules, rr->new_rules) << "install " << i;
+      ASSERT_EQ(rf->reused_tag, rr->reused_tag) << "install " << i;
+    }
+    expect_same_tables(fast, ref);
+    expect_same_homes(fast, ref);
+    if (max_tags == 0) {
+      EXPECT_EQ(exhausted, 0u);
+    } else {
+      EXPECT_GT(exhausted, 0u);
+      EXPECT_EQ(fast.tags_in_use(), max_tags);
+    }
   }
-  expect_same_tables(fast, ref);
 }
 
 // Same differential under uninstall churn: removals invalidate the memo
@@ -133,33 +181,41 @@ TEST_F(EngineFastpathTest, DifferentialSurvivesUninstallChurn) {
   Rng rng_f(4711), rng_r(4711);
   constexpr std::uint32_t kBs = 12;
   std::vector<PathId> ids_f, ids_r;
-  for (std::uint32_t i = 0; i < 200; ++i) {
+  const auto install_both = [&](const char* phase, std::uint32_t i) {
     const Clause cf = random_clause(rng_f, Direction::kDownlink, kBs);
     const Clause cr = random_clause(rng_r, Direction::kDownlink, kBs);
-    const auto rf =
-        fast.install(cf.path, cf.bs, topo_.bs_prefix(cf.bs), std::nullopt);
-    const auto rr =
-        ref.install(cr.path, cr.bs, topo_.bs_prefix(cr.bs), std::nullopt);
-    ASSERT_EQ(rf.tag, rr.tag) << "install " << i;
+    const auto key = random_key(rng_f);
+    ASSERT_EQ(key, random_key(rng_r));
+    const auto rf = fast.install(cf.path, cf.bs, topo_.bs_prefix(cf.bs),
+                                 std::nullopt, false, std::nullopt, key);
+    const auto rr = ref.install(cr.path, cr.bs, topo_.bs_prefix(cr.bs),
+                                std::nullopt, false, std::nullopt, key);
+    ASSERT_EQ(rf.tag, rr.tag) << phase << " install " << i;
+    ASSERT_EQ(rf.new_rules, rr.new_rules) << phase << " install " << i;
     ids_f.push_back(rf.path);
     ids_r.push_back(rr.path);
-  }
+  };
+  for (std::uint32_t i = 0; i < 200; ++i) install_both("pre-churn", i);
   for (std::size_t i = 0; i < ids_f.size(); i += 3) {
     fast.remove(ids_f[i]);
     ref.remove(ids_r[i]);
   }
   expect_same_tables(fast, ref);
-  for (std::uint32_t i = 0; i < 120; ++i) {
-    const Clause cf = random_clause(rng_f, Direction::kDownlink, kBs);
-    const Clause cr = random_clause(rng_r, Direction::kDownlink, kBs);
-    const auto rf =
-        fast.install(cf.path, cf.bs, topo_.bs_prefix(cf.bs), std::nullopt);
-    const auto rr =
-        ref.install(cr.path, cr.bs, topo_.bs_prefix(cr.bs), std::nullopt);
-    ASSERT_EQ(rf.tag, rr.tag) << "post-churn install " << i;
-    ASSERT_EQ(rf.new_rules, rr.new_rules) << "post-churn install " << i;
-  }
+  expect_same_homes(fast, ref);
+  // Freed tags come back live under the homes of their new first users.
+  for (std::uint32_t i = 0; i < 120; ++i) install_both("post-churn", i);
   expect_same_tables(fast, ref);
+  expect_same_homes(fast, ref);
+  for (std::size_t i = 0; i < ids_f.size(); ++i) {
+    if (i < 200 && i % 3 == 0) continue;  // removed above
+    fast.remove(ids_f[i]);
+    ref.remove(ids_r[i]);
+  }
+  // The last reference gone, no tag keeps a home.
+  for (std::uint32_t t = 0; t < fast.tags_allocated(); ++t)
+    ASSERT_FALSE(fast.tag_home(PolicyTag(static_cast<std::uint16_t>(t))))
+        << "tag " << t;
+  expect_same_homes(fast, ref);
 }
 
 // Directed tag recycling: install -> uninstall returns every per-tag
@@ -178,9 +234,17 @@ TEST_F(EngineFastpathTest, TagRecyclingRestoresEngineState) {
   std::vector<Clause> clauses;
   for (std::uint32_t i = 0; i < 24; ++i)
     clauses.push_back(random_clause(rng, Direction::kDownlink, kBs));
-  for (const Clause& c : clauses)
-    ids.push_back(
-        eng.install(c.path, c.bs, topo_.bs_prefix(c.bs), std::nullopt).path);
+  // Round one homes every tag to key i % 3 of its first user.
+  std::unordered_map<std::uint16_t, std::uint64_t> first_key;
+  for (std::uint32_t i = 0; i < clauses.size(); ++i) {
+    const Clause& c = clauses[i];
+    const auto r = eng.install(c.path, c.bs, topo_.bs_prefix(c.bs),
+                               std::nullopt, false, std::nullopt, i % 3);
+    first_key.try_emplace(r.tag.value(), i % 3);
+    ids.push_back(r.path);
+  }
+  for (const auto& [tag, key] : first_key)
+    EXPECT_EQ(eng.tag_home(PolicyTag(tag)), key) << "tag " << tag;
   const std::size_t allocated_after_install = eng.tags_allocated();
   const std::size_t in_use_after_install = eng.tags_in_use();
   ASSERT_GT(in_use_after_install, tags_before);
@@ -190,14 +254,25 @@ TEST_F(EngineFastpathTest, TagRecyclingRestoresEngineState) {
   EXPECT_EQ(eng.bs_tag_refs(), 0u);           // bs_tags_ fully drained
   EXPECT_EQ(eng.total_rules(), rules_before);
   EXPECT_EQ(eng.free_tag_count(), allocated_after_install - tags_before);
+  for (std::uint32_t t = 0; t < eng.tags_allocated(); ++t)
+    EXPECT_FALSE(eng.tag_home(PolicyTag(static_cast<std::uint16_t>(t))))
+        << "freed tag " << t << " kept its home";
 
-  // Reinstall the same workload: every tag comes off the free list (no
-  // fresh allocations), though the candidate search may settle on fewer
-  // tags than round one -- the MRU seed list now remembers round one.
+  // Reinstall the same workload under other keys: every tag comes off the
+  // free list (no fresh allocations) and takes the home of its new first
+  // user, though the candidate search may settle on fewer tags than round
+  // one -- the MRU seed list now remembers round one.
   ids.clear();
-  for (const Clause& c : clauses)
-    ids.push_back(
-        eng.install(c.path, c.bs, topo_.bs_prefix(c.bs), std::nullopt).path);
+  first_key.clear();
+  for (std::uint32_t i = 0; i < clauses.size(); ++i) {
+    const Clause& c = clauses[i];
+    const auto r = eng.install(c.path, c.bs, topo_.bs_prefix(c.bs),
+                               std::nullopt, false, std::nullopt, 3 + i % 3);
+    first_key.try_emplace(r.tag.value(), 3 + i % 3);
+    ids.push_back(r.path);
+  }
+  for (const auto& [tag, key] : first_key)
+    EXPECT_EQ(eng.tag_home(PolicyTag(tag)), key) << "tag " << tag;
   EXPECT_EQ(eng.tags_allocated(), allocated_after_install);
   EXPECT_LE(eng.tags_in_use(), in_use_after_install);
   for (const PathId id : ids) eng.remove(id);
