@@ -2,20 +2,21 @@
 //
 // The paper's scalability experiment drives a controller process with
 // Cbench over real sockets; this binary is that process.  It builds the
-// topology / policy / brain / runtime from the same WireWorkloadConfig
-// parameters the load generator uses (determinism is the contract: both
-// sides must agree on the subscriber base and clause table), provisions
-// the subscriber base, then serves packet-in frames on loopback TCP until
-// SIGTERM / SIGINT, at which point it drains gracefully: stop accepting,
-// finish every in-flight request, flush what the kernel will take, exit.
+// topology / policy / brain from the same WireWorkloadConfig parameters
+// the load generator uses (determinism is the contract: both sides must
+// agree on the subscriber base and clause table), provisions the
+// subscriber base, then serves packet-in frames on loopback TCP -- each
+// answered to completion on the event-loop thread -- until SIGTERM /
+// SIGINT, at which point it drains gracefully: stop accepting, flush what
+// the kernel will take, exit.
 //
 //   softcell-serverd [--port N] [--port-file PATH] [--k N] [--topo-seed N]
-//                    [--shards N] [--workers N] [--clauses N]
-//                    [--connections N] [--ues-per-conn N]
-//                    [--max-outbound BYTES]
+//                    [--shards N] [--clauses N] [--connections N]
+//                    [--ues-per-conn N] [--max-outbound BYTES]
 //
 // --port 0 (the default) binds an ephemeral port; --port-file writes the
-// bound port as text so a driving script can discover it.
+// bound port as text so a driving script can discover it.  Flags it does
+// not read are ignored.
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -28,7 +29,6 @@
 #include "net/dispatch.hpp"
 #include "net/event_loop.hpp"
 #include "net/server.hpp"
-#include "runtime/runtime.hpp"
 #include "workload/wire_workload.hpp"
 
 using namespace softcell;
@@ -59,8 +59,6 @@ int main(int argc, char** argv) {
   config.topo_seed = arg_u64(argc, argv, "--topo-seed", config.topo_seed);
   config.shards =
       static_cast<std::size_t>(arg_u64(argc, argv, "--shards", config.shards));
-  config.workers =
-      static_cast<unsigned>(arg_u64(argc, argv, "--workers", config.workers));
   config.num_clauses = static_cast<std::uint32_t>(
       arg_u64(argc, argv, "--clauses", config.num_clauses));
   config.connections = static_cast<std::uint32_t>(
@@ -89,10 +87,7 @@ int main(int argc, char** argv) {
                      make_wire_policy(topo, config.num_clauses, &clauses),
                      config.shards);
   provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-
-  ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+  net::BrainDispatcher dispatcher(bundle.brain());
 
   net::EventLoop loop;
   if (!loop.ok()) {
@@ -114,10 +109,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("softcell-serverd: listening on 127.0.0.1:%u (%llu UEs, %u "
-              "clauses, %zu shards, %u workers)\n",
+              "clauses, %zu shards)\n",
               server.port(),
               static_cast<unsigned long long>(config.total_ues()),
-              config.num_clauses, config.shards, config.workers);
+              config.num_clauses, config.shards);
   std::fflush(stdout);
 
   std::thread loop_thread([&] { loop.run(); });
@@ -134,13 +129,12 @@ int main(int argc, char** argv) {
   const auto& stats = server.stats();
   std::printf(
       "softcell-serverd: %s (accepts=%llu packet_ins=%llu replies=%llu "
-      "backpressure_drops=%llu dropped_replies=%llu decode_errors=%llu)\n",
+      "backpressure_drops=%llu decode_errors=%llu)\n",
       drained ? "drained" : "drain timeout",
       static_cast<unsigned long long>(stats.accepts.load()),
       static_cast<unsigned long long>(stats.packet_ins.load()),
       static_cast<unsigned long long>(stats.replies_out.load()),
       static_cast<unsigned long long>(stats.backpressure_drops.load()),
-      static_cast<unsigned long long>(stats.dropped_replies.load()),
       static_cast<unsigned long long>(stats.decode_errors.load()));
   return 0;
 }

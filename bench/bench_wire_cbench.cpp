@@ -10,7 +10,7 @@
 //
 // Correctness cross-check (the acceptance bar): before each wire run, the
 // exact same workload is driven in-process through the same
-// RuntimeDispatcher boundary, and the two canonical controller
+// BrainDispatcher boundary, and the two canonical controller
 // fingerprints must match -- the socket layer may reorder arbitrarily, but
 // it must not lose, duplicate or corrupt control-plane work.  The bench
 // aborts nonzero on a mismatch.
@@ -21,10 +21,11 @@
 // --ues-per-conn flags -- which is exactly what the tier1.sh net stage
 // does; the parity check still runs against the local reference.
 //
-// Honesty, same rules as bench_runtime_scaling: the load threads, the
-// event loop and the runtime workers all want their own hardware thread;
-// when the host has fewer, rows time-slice and measure the scheduler, so
-// `valid_scaling` is false and no throughput conclusions should be drawn.
+// Honesty, same rules as bench_runtime_scaling: the load threads and the
+// event loop (which serves every request to completion) all want their own
+// hardware thread; when the host has fewer, rows time-slice and measure
+// the scheduler, so `valid_scaling` is false and no throughput conclusions
+// should be drawn.
 // Capture docs: see README "Benchmarks" (>= 4-core host for the scaling
 // runs).
 #include <cstdio>
@@ -37,7 +38,6 @@
 #include "net/dispatch.hpp"
 #include "net/event_loop.hpp"
 #include "net/server.hpp"
-#include "runtime/runtime.hpp"
 #include "telemetry/export.hpp"
 #include "workload/wire_workload.hpp"
 
@@ -71,9 +71,7 @@ bool run_row(const WireWorkloadConfig& config, WireRow* row,
                      make_wire_policy(topo, config.num_clauses, &clauses),
                      config.shards);
   provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+  net::BrainDispatcher dispatcher(bundle.brain());
   net::EventLoop loop;
   net::ControllerServer server(loop, dispatcher);
   std::string err;
@@ -167,11 +165,11 @@ int main(int argc, char** argv) {
   if (ext_port_env) conn_sweep = {config.connections};  // server provisioned
                                                         // for one shape
 
-  // Loop thread + runtime workers + N load threads all need their own
-  // hardware thread for the throughput numbers to measure the pipeline
-  // rather than the scheduler.
+  // The loop thread + N load threads all need their own hardware thread
+  // for the throughput numbers to measure the serving path rather than the
+  // scheduler.
   const unsigned max_conns = conn_sweep.back();
-  const bool valid_scaling = hw >= config.workers + max_conns + 1;
+  const bool valid_scaling = hw >= max_conns + 1;
 
   std::printf("  %5s | %11s | %12s | %9s | %9s | %6s\n", "conns",
               "outstanding", "requests/s", "p50 us", "p99 us", "parity");
@@ -211,11 +209,10 @@ int main(int argc, char** argv) {
 
   if (!valid_scaling)
     std::printf("\n  warning: host has %u hardware threads but the widest "
-                "row wants %u (loop + %u workers + %u connections) -- "
-                "oversubscribed rows time-slice and do not measure serving "
-                "throughput; valid_scaling=false in the report.\n",
-                hw, config.workers + max_conns + 1, config.workers,
-                max_conns);
+                "row wants %u (loop + %u connections) -- oversubscribed "
+                "rows time-slice and do not measure serving throughput; "
+                "valid_scaling=false in the report.\n",
+                hw, max_conns + 1, max_conns);
 
   telemetry::BenchReport report("wire_cbench");
   report.meta_u64("hardware_threads", hw);
@@ -223,7 +220,6 @@ int main(int argc, char** argv) {
   report.meta_bool("smoke", smoke);
   report.meta_bool("external_server", ext_port_env != nullptr);
   report.meta_u64("shards", config.shards);
-  report.meta_u64("workers", config.workers);
   report.meta_u64("requests_per_conn", config.requests_per_conn);
   report.meta_u64("max_outstanding", config.max_outstanding);
   report.meta_num("path_request_ratio", config.path_request_ratio, 3);

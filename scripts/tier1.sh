@@ -21,9 +21,11 @@
 #      started as a real separate process (--port 0 + --port-file for
 #      race-free discovery), the wire cbench drives it over loopback with
 #      SOFTCELL_WIRE_PORT (fingerprint parity vs the in-process run is the
-#      bench's own exit code), the SIGTERM graceful drain must exit 0, the
-#      softcell-bench-1 envelope is validated, and `ctest -L net` runs the
-#      directed partial-read/short-write/backpressure/drain suite
+#      bench's own exit code), the SIGTERM graceful drain must exit 0,
+#      serverd's final counter line must conserve packet-ins
+#      (packet_ins == replies + backpressure_drops), the softcell-bench-1
+#      envelope is validated, and `ctest -L net` runs the directed
+#      partial-read/short-write/backpressure/drain suite
 #   6. ASan + TSan + UBSan rebuilds running the
 #      concurrency|chaos|cluster|slab|shardbrain labels (ASan and TSan
 #      additionally rerun `net`) with a trimmed corpus (SOFTCELL_CHAOS_SEEDS)
@@ -196,13 +198,17 @@ run_stage "scale (smoke, cross-layout)" bash -c \
 # bench both use the WireConfig defaults, so the provisioning matches and
 # the bench's fingerprint-parity check (wire run vs identical in-process
 # run) is armed.  serverd must be backgrounded directly (not via a
-# compound command) so $! is its PID and SIGTERM reaches it.
+# compound command) so $! is its PID and SIGTERM reaches it.  Its output
+# is kept: the final counter line is checked for conservation, every
+# packet-in answered or counted as a backpressure drop.
 run_stage "net (serverd + wire smoke)" bash -c '
   set -u
   cmake --build build -j --target softcell-serverd bench_wire_cbench || exit 1
   port_file=build/bench/TIER1_net.port
-  rm -f "$port_file" build/bench/SMOKE_net.json
-  ./build/apps/softcell-serverd --port 0 --port-file "$port_file" &
+  serverd_log=build/bench/TIER1_serverd.log
+  rm -f "$port_file" "$serverd_log" build/bench/SMOKE_net.json
+  ./build/apps/softcell-serverd --port 0 --port-file "$port_file" \
+    > "$serverd_log" &
   serverd_pid=$!
   for _ in $(seq 1 200); do
     [[ -s "$port_file" ]] && break
@@ -220,6 +226,7 @@ run_stage "net (serverd + wire smoke)" bash -c '
   kill -TERM "$serverd_pid"
   wait "$serverd_pid"
   drain_rc=$?
+  cat "$serverd_log"
   if [[ "$bench_rc" -ne 0 ]]; then
     echo "FAIL: wire cbench exit $bench_rc (parity or transport failure)" >&2
     exit 1
@@ -228,6 +235,17 @@ run_stage "net (serverd + wire smoke)" bash -c '
     echo "FAIL: serverd SIGTERM drain exit $drain_rc (expected 0)" >&2
     exit 1
   fi
+  python3 -c "
+import re, sys
+final = [l for l in open(sys.argv[1]) if \"packet_ins=\" in l]
+if not final:
+    sys.exit(\"FAIL: serverd printed no final counter line\")
+c = {k: int(v) for k, v in re.findall(r\"(\w+)=(\d+)\", final[-1])}
+if c[\"packet_ins\"] != c[\"replies\"] + c[\"backpressure_drops\"]:
+    sys.exit(\"FAIL: serverd lost packet-ins: \" + final[-1].strip())
+print(\"conservation: packet_ins=%d == replies=%d + backpressure_drops=%d\"
+      % (c[\"packet_ins\"], c[\"replies\"], c[\"backpressure_drops\"]))
+" "$serverd_log" || exit 1
   python3 -c "
 import json, sys
 d = json.load(open(\"build/bench/SMOKE_net.json\"))

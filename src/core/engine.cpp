@@ -866,16 +866,6 @@ AggregationEngine::InstallResult AggregationEngine::install(
   return result;
 }
 
-std::vector<AggregationEngine::InstallResult> AggregationEngine::install_paths(
-    std::span<const InstallRequest> requests) {
-  std::vector<InstallResult> out;
-  out.reserve(requests.size());
-  for (const InstallRequest& r : requests)
-    out.push_back(install(*r.path, r.bs_index, r.origin, r.hint, r.pin,
-                          r.exclude_also, r.affinity));
-  return out;
-}
-
 PathId AggregationEngine::install_ue_shortcut(
     Direction dir, PolicyTag tag, Prefix ue32,
     const std::vector<PathHop>& hops) {

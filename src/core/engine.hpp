@@ -172,24 +172,6 @@ class AggregationEngine {
                         std::optional<std::uint64_t> exclude_also = std::nullopt,
                         std::optional<std::uint64_t> affinity = std::nullopt);
 
-  // Batched install: one request per element, executed in order.  Callers
-  // that can reorder should sort by (bs, clause) first -- the controller's
-  // request_policy_paths() does -- so consecutive installs share origin
-  // prefixes and hit the memoized scores (see DESIGN.md "Aggregation fast
-  // path").  A rejected path throws PathRejected after rolling back only
-  // that request; earlier results stay installed.
-  struct InstallRequest {
-    const ExpandedPath* path = nullptr;
-    std::uint32_t bs_index = 0;
-    Prefix origin;
-    std::optional<PolicyTag> hint;
-    bool pin = false;
-    std::optional<std::uint64_t> exclude_also;
-    std::optional<std::uint64_t> affinity;
-  };
-  std::vector<InstallResult> install_paths(
-      std::span<const InstallRequest> requests);
-
   // Removes a previously installed path (requires track_paths).
   void remove(PathId id);
 

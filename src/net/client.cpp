@@ -10,9 +10,10 @@
 
 namespace softcell::net {
 
-bool WireConn::connect(std::uint16_t port, std::string* err) {
+bool WireConn::connect(std::uint16_t port, std::string* err,
+                       std::size_t rcvbuf_bytes) {
   close();
-  fd_ = connect_loopback(port, err);
+  fd_ = connect_loopback(port, err, rcvbuf_bytes);
   return fd_ >= 0;
 }
 

@@ -33,8 +33,10 @@ class WireConn {
   WireConn(const WireConn&) = delete;
   WireConn& operator=(const WireConn&) = delete;
 
-  // Blocking connect to 127.0.0.1:port.
-  [[nodiscard]] bool connect(std::uint16_t port, std::string* err);
+  // Blocking connect to 127.0.0.1:port; rcvbuf_bytes > 0 pins SO_RCVBUF
+  // before the handshake (see connect_loopback).
+  [[nodiscard]] bool connect(std::uint16_t port, std::string* err,
+                             std::size_t rcvbuf_bytes = 0);
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
   void close();
 

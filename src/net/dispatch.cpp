@@ -1,6 +1,7 @@
 #include "net/dispatch.hpp"
 
-#include <utility>
+#include <exception>
+#include <vector>
 
 namespace softcell::net {
 
@@ -32,53 +33,23 @@ std::uint64_t classifier_digest(
   return sum;
 }
 
-void RuntimeDispatcher::dispatch(
-    const ofp::PacketInMsg& msg,
-    std::function<void(ofp::PacketInReply&&)> done) {
-  Request request;
-  request.ue = msg.ue;
-  request.bs = msg.bs;
-  switch (msg.kind) {
-    case ofp::PacketInMsg::Kind::kFetchClassifiers:
-      request.kind = RequestKind::kFetchClassifiers;
-      break;
-    case ofp::PacketInMsg::Kind::kPolicyPath:
-      request.kind = RequestKind::kPolicyPath;
-      request.clause = msg.clause;
-      break;
-  }
-  const std::uint32_t xid = msg.xid;
-  const auto kind = msg.kind;
-  // `on_done` stays alive across post() so the shutdown-refusal path can
-  // still answer (post takes the Request by value; a failed post leaves
-  // the moved-from copy unusable).
-  auto on_done = std::move(done);
-  request.done = [xid, kind, on_done](Response&& response) {
-    ofp::PacketInReply reply;
-    reply.xid = xid;
-    reply.kind = kind;
-    reply.ok = response.ok;
-    if (kind == ofp::PacketInMsg::Kind::kPolicyPath) {
-      reply.tag = response.tag;
+ofp::PacketInReply BrainDispatcher::dispatch(const ofp::PacketInMsg& msg) {
+  ofp::PacketInReply reply;
+  reply.xid = msg.xid;
+  reply.kind = msg.kind;
+  try {
+    if (msg.kind == ofp::PacketInMsg::Kind::kPolicyPath) {
+      reply.tag = brain_.request_policy_path(msg.ue, msg.bs, msg.clause);
     } else {
-      reply.classifier_count =
-          static_cast<std::uint32_t>(response.classifiers.size());
-      reply.digest = classifier_digest(response.classifiers);
+      const std::vector<PacketClassifier> classifiers =
+          brain_.fetch_classifiers(msg.ue, msg.bs);
+      reply.classifier_count = static_cast<std::uint32_t>(classifiers.size());
+      reply.digest = classifier_digest(classifiers);
     }
-    on_done(std::move(reply));
-  };
-  if (!runtime_.post(std::move(request))) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    ofp::PacketInReply reply;
-    reply.xid = xid;
-    reply.kind = kind;
+  } catch (const std::exception&) {
     reply.ok = false;
-    on_done(std::move(reply));
   }
-}
-
-std::uint64_t RuntimeDispatcher::fingerprint() {
-  return brain_.canonical_fingerprint();
+  return reply;
 }
 
 }  // namespace softcell::net

@@ -4,20 +4,19 @@
 // The osrm-backend split (EngineInterface behind plugins): transports
 // decode packet-ins however they arrive -- a socket in softcell-serverd, a
 // plain function call in the in-process reference run -- and hand the
-// decoded message to one Dispatcher.  Because both paths cross the same
-// boundary into the same ControlPlaneRuntime pipeline, a wire run and an
-// in-process run of the same workload land on the same controller state
-// (the fingerprint-parity check in tests/test_net.cpp rests on this).
+// decoded message to one Dispatcher, which answers it on the calling
+// thread.  Because both paths cross the same boundary into the same brain
+// calls, a wire run and an in-process run of the same workload land on the
+// same controller state (the fingerprint-parity check in tests/test_net.cpp
+// rests on this).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "ctrl/control_plane.hpp"
 #include "ofp/codec.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/control_brain.hpp"
 
 namespace softcell::net {
 
@@ -25,19 +24,15 @@ class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
 
-  // Routes one packet-in.  `done` may fire on any thread (the runtime
-  // fires completions on its workers) and must stay cheap.
-  virtual void dispatch(const ofp::PacketInMsg& msg,
-                        std::function<void(ofp::PacketInReply&&)> done) = 0;
+  // Answers one packet-in on the calling thread (run to completion: the
+  // server's event-loop thread decodes, dispatches, encodes and sends).
+  virtual ofp::PacketInReply dispatch(const ofp::PacketInMsg& msg) = 0;
 
   // Interleaving-independent fingerprint of the controller state (the
   // canonical recompact-then-fingerprint; see runtime/control_brain.hpp).
   // Callers quiesce first: the server answers a stats request only after
   // the client has collected every outstanding reply.
   [[nodiscard]] virtual std::uint64_t fingerprint() = 0;
-
-  // Blocks until every dispatched request has completed.
-  virtual void drain() = 0;
 };
 
 // Order-insensitive digest of a classifier set (FNV-1a over each entry,
@@ -47,29 +42,20 @@ class Dispatcher {
 [[nodiscard]] std::uint64_t classifier_digest(
     std::span<const PacketClassifier> classifiers);
 
-// The production Dispatcher: packet-ins become runtime Requests routed
-// through the shard pipeline; replies are built from the runtime Response
-// on the worker thread.
-class RuntimeDispatcher final : public Dispatcher {
+// The production Dispatcher: a path request is one request_policy_path
+// call, a fetch one fetch_classifiers call digested into the reply; a call
+// that throws is answered ok = false.
+class BrainDispatcher final : public Dispatcher {
  public:
-  RuntimeDispatcher(ControlPlaneRuntime& runtime, ControlBrain& brain)
-      : runtime_(runtime), brain_(brain) {}
+  explicit BrainDispatcher(ControlBrain& brain) : brain_(brain) {}
 
-  void dispatch(const ofp::PacketInMsg& msg,
-                std::function<void(ofp::PacketInReply&&)> done) override;
-  [[nodiscard]] std::uint64_t fingerprint() override;
-  void drain() override { runtime_.drain(); }
-
-  // Requests post() refused (runtime shutting down); the reply still fires
-  // with ok=false so no caller hangs.
-  [[nodiscard]] std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
+  ofp::PacketInReply dispatch(const ofp::PacketInMsg& msg) override;
+  [[nodiscard]] std::uint64_t fingerprint() override {
+    return brain_.canonical_fingerprint();
   }
 
  private:
-  ControlPlaneRuntime& runtime_;
   ControlBrain& brain_;
-  std::atomic<std::uint64_t> rejected_{0};
 };
 
 }  // namespace softcell::net

@@ -4,10 +4,8 @@
 // only from the loop thread (asserted), so per-connection state needs no
 // locking.  The two cross-thread entry points are post() -- enqueue a task
 // and wake the loop via an eventfd -- and stop().  This is the standard
-// reactor shape (DESIGN.md section 18): the runtime's worker completions
-// never touch a socket directly; they post the reply batch back to the
-// loop, which is the single owner of fd lifecycle (lint rule raw-socket
-// pins the syscalls to this directory).
+// reactor shape (DESIGN.md section 18): the loop is the single owner of fd
+// lifecycle (lint rule raw-socket pins the syscalls to this directory).
 //
 // Registration hands back a monotonically increasing token rather than the
 // fd itself: the kernel reuses fd numbers immediately after close(), and a

@@ -1,11 +1,11 @@
 // softcell::net -- counters for the socket serving layer.
 //
 // The wire-transport analogue of ofp's FaultStats: one plain struct of
-// atomics the event loop and the reply path increment, published into the
-// telemetry Registry through the collector-hook pattern (the
-// ControllerServer registers `contribute(sink, "net.")` so `net.*` shows
-// up in Snapshot next to `ofp.*`).  Atomics because the loop thread and
-// the runtime's worker completions both write (relaxed is enough: these
+// atomics the event loop increments, published into the telemetry
+// Registry through the collector-hook pattern (the ControllerServer
+// registers `contribute(sink, "net.")` so `net.*` shows up in Snapshot
+// next to `ofp.*`).  Atomics because other threads (collectors, tests,
+// the drain) read while the loop thread writes (relaxed is enough: these
 // are statistics, not synchronization).
 #pragma once
 
@@ -27,11 +27,11 @@ struct NetStats {
   std::atomic<std::uint64_t> frames_in{0};       // complete frames decoded
   std::atomic<std::uint64_t> packet_ins{0};      // packet-in frames routed
   std::atomic<std::uint64_t> replies_out{0};     // replies encoded to a conn
-  std::atomic<std::uint64_t> reply_batches{0};   // flush tasks (batch-encodes)
+  std::atomic<std::uint64_t> reply_batches{0};   // read bursts flushed with
+                                                 // at least one reply
   std::atomic<std::uint64_t> short_writes{0};    // send() accepted a prefix
   std::atomic<std::uint64_t> backpressure_drops{0};  // slow client: reply
                                                      // dropped, conn kept
-  std::atomic<std::uint64_t> dropped_replies{0};  // conn gone before reply
   std::atomic<std::uint64_t> decode_errors{0};    // bad frame/framing
   std::atomic<std::uint64_t> overflow_closes{0};  // control-probe flood past
                                                   // the hard cap, conn closed
@@ -62,7 +62,6 @@ struct NetStats {
     sink.counter(name("reply_batches"), load(reply_batches));
     sink.counter(name("short_writes"), load(short_writes));
     sink.counter(name("backpressure_drops"), load(backpressure_drops));
-    sink.counter(name("dropped_replies"), load(dropped_replies));
     sink.counter(name("decode_errors"), load(decode_errors));
     sink.counter(name("overflow_closes"), load(overflow_closes));
     sink.counter(name("accept_overflows"), load(accept_overflows));

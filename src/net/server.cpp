@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <thread>
 
@@ -118,7 +117,6 @@ void ControllerServer::on_conn_event(std::uint64_t id, std::uint32_t events) {
 }
 
 void ControllerServer::on_readable(Conn& conn) {
-  const std::uint64_t id = conn.id;
   bool eof = false;
   for (;;) {
     const auto buf = conn.in.writable(options_.read_chunk);
@@ -139,6 +137,10 @@ void ControllerServer::on_readable(Conn& conn) {
     if (static_cast<std::size_t>(n) < buf.size()) break;
   }
 
+  // Serve the burst.  Nothing below sends, so `conn` stays alive until the
+  // one flush at the end.
+  const std::size_t encoded = conn.out.size();
+  bool keep = true;
   std::span<const std::uint8_t> frame;
   for (;;) {
     const auto status = conn.in.next(frame);
@@ -146,20 +148,20 @@ void ControllerServer::on_readable(Conn& conn) {
     if (status == ofp::FrameAssembler::Status::kBad) {
       // Broken framing: a length-prefixed stream cannot resync.
       stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
-      close_conn(conn);
-      return;
+      keep = false;
+      break;
     }
     stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
     if (!handle_frame(conn, frame)) {
-      close_conn(conn);
-      return;
+      keep = false;
+      break;
     }
-    // handle_frame flushes echo/stats replies inline, and a hard send()
-    // failure there closes -- destroys -- the conn.  Re-resolve before
-    // touching it again (same pattern as on_conn_event).
-    if (conns_.find(id) == conns_.end()) return;
   }
-  if (eof) close_conn(conn);
+  if (conn.out.size() > encoded) {
+    stats_.reply_batches.fetch_add(1, std::memory_order_relaxed);
+    if (!flush_conn(conn)) return;  // closed by a hard send() failure
+  }
+  if (!keep || eof) close_conn(conn);
 }
 
 bool ControllerServer::handle_frame(Conn& conn,
@@ -179,10 +181,14 @@ bool ControllerServer::handle_frame(Conn& conn,
         return true;
       }
       stats_.packet_ins.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t id = conn.id;
-      dispatcher_.dispatch(*msg, [this, id](ofp::PacketInReply&& reply) {
-        queue_reply(id, std::move(reply));
-      });
+      const ofp::PacketInReply reply = dispatcher_.dispatch(*msg);
+      if (conn.unsent() >= options_.max_outbound_bytes) {
+        // Slow client: it stopped reading and its buffer is at the cap.
+        stats_.backpressure_drops.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      ofp::encode_packet_in_reply_into(conn.out, reply);
+      stats_.replies_out.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     case ofp::MsgType::kEchoRequest: {
@@ -197,7 +203,6 @@ bool ControllerServer::handle_frame(Conn& conn,
       }
       ofp::put_header(conn.out, ofp::MsgType::kEchoReply, ofp::kHeaderSize,
                       h->xid);
-      flush_conn(conn);  // may destroy conn; caller re-resolves before reuse
       return true;
     }
     case ofp::MsgType::kServerStatsRequest: {
@@ -210,11 +215,8 @@ bool ControllerServer::handle_frame(Conn& conn,
       stats.fingerprint = dispatcher_.fingerprint();
       stats.packet_ins = stats_.packet_ins.load(std::memory_order_relaxed);
       stats.replies = stats_.replies_out.load(std::memory_order_relaxed);
-      stats.drops =
-          stats_.backpressure_drops.load(std::memory_order_relaxed) +
-          stats_.dropped_replies.load(std::memory_order_relaxed);
+      stats.drops = stats_.backpressure_drops.load(std::memory_order_relaxed);
       ofp::encode_server_stats_into(conn.out, stats);
-      flush_conn(conn);  // may destroy conn; caller re-resolves before reuse
       return true;
     }
     default:
@@ -222,62 +224,6 @@ bool ControllerServer::handle_frame(Conn& conn,
       stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
       return true;
   }
-}
-
-void ControllerServer::queue_reply(std::uint64_t conn_id,
-                                   ofp::PacketInReply&& reply) {
-  bool schedule = false;
-  {
-    sc::LockGuard lock(reply_mu_);
-    pending_replies_.emplace_back(conn_id, std::move(reply));
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      schedule = true;
-    }
-  }
-  // One posted flush task per batch: every reply that lands while it is
-  // queued rides along, however many workers produced them.
-  if (schedule) loop_.post([this] { flush_pending_replies(); });
-}
-
-void ControllerServer::flush_pending_replies() {
-  std::vector<std::pair<std::uint64_t, ofp::PacketInReply>> batch;
-  {
-    sc::LockGuard lock(reply_mu_);
-    batch.swap(pending_replies_);
-    flush_scheduled_ = false;
-  }
-  if (batch.empty()) return;
-  stats_.reply_batches.fetch_add(1, std::memory_order_relaxed);
-
-  // Batch-encode: group by connection (append to each conn's outbound
-  // buffer), then one flush per touched connection.
-  std::vector<Conn*> touched;
-  for (auto& [id, reply] : batch) {
-    const auto it = conns_.find(id);
-    if (it == conns_.end()) {
-      // Connection dropped mid-request; the runtime still completed it.
-      stats_.dropped_replies.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Conn& conn = *it->second;
-    if (conn.unsent() >= options_.max_outbound_bytes) {
-      // Slow client: it stopped reading and its buffer is at the cap.
-      stats_.backpressure_drops.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (conn.unsent() == 0 && !conn.out.empty()) {
-      // Compact before appending so the buffer never grows unboundedly
-      // from sent-prefix residue.
-      conn.out.clear();
-      conn.out_pos = 0;
-    }
-    ofp::encode_packet_in_reply_into(conn.out, reply);
-    stats_.replies_out.fetch_add(1, std::memory_order_relaxed);
-    if (std::find(touched.begin(), touched.end(), &conn) == touched.end())
-      touched.push_back(&conn);
-  }
-  for (Conn* conn : touched) flush_conn(*conn);
 }
 
 bool ControllerServer::flush_conn(Conn& conn) {
@@ -342,35 +288,22 @@ void ControllerServer::run_on_loop(std::function<void()> fn) {
   cv.wait(lock, [&] { return done; });
 }
 
+void ControllerServer::stop_accepting() {
+  if (!accepting_) return;
+  accepting_ = false;
+  loop_.remove(listen_token_);
+  listen_token_ = 0;
+}
+
 bool ControllerServer::drain(std::chrono::milliseconds timeout) {
-  // 1. Stop accepting (new connections would race the quiesce).
-  run_on_loop([this] {
-    if (accepting_) {
-      accepting_ = false;
-      loop_.remove(listen_token_);
-      listen_token_ = 0;
-    }
-  });
-  // 2. Let every in-flight request complete; their replies land in
-  //    pending_replies_ (or are already flushed) once this returns.
-  dispatcher_.drain();
-  // 3. Flush until every outbound buffer is empty or the deadline hits.
-  //    flush_pending_replies() is idempotent, so running it here also
-  //    covers a flush task the loop has not picked up yet.
+  // New connections would race the quiesce.  Every request already read
+  // was answered on the loop thread, and a connection with unsent bytes
+  // has kWritable armed, so the loop flushes them by itself.
+  run_on_loop([this] { stop_accepting(); });
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   for (;;) {
     std::size_t unsent = 0;
     run_on_loop([&] {
-      flush_pending_replies();
-      // flush_conn may close (erase) a broken connection; iterate a
-      // snapshot of ids, not the live map.
-      std::vector<std::uint64_t> ids;
-      ids.reserve(conns_.size());
-      for (auto& [id, conn] : conns_) ids.push_back(id);
-      for (const std::uint64_t id : ids) {
-        const auto it = conns_.find(id);
-        if (it != conns_.end()) flush_conn(*it->second);
-      }
       for (auto& [id, conn] : conns_) unsent += conn->unsent();
     });
     if (unsent == 0) return true;
@@ -381,11 +314,7 @@ bool ControllerServer::drain(std::chrono::milliseconds timeout) {
 
 void ControllerServer::request_stop() {
   loop_.post([this] {
-    if (accepting_) {
-      accepting_ = false;
-      loop_.remove(listen_token_);
-      listen_token_ = 0;
-    }
+    stop_accepting();
     while (!conns_.empty()) close_conn(*conns_.begin()->second);
     loop_.stop();
   });

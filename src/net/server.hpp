@@ -2,17 +2,16 @@
 //
 // ControllerServer accepts switch-agent connections on loopback TCP,
 // batch-decodes packet-in frames out of the byte stream (FrameAssembler
-// handles arbitrary fragmentation), routes them through the Dispatcher
-// boundary into the runtime pipeline, and batch-encodes the replies back.
+// handles arbitrary fragmentation), answers each through the Dispatcher
+// boundary, and writes the replies back.
 //
-// Threading (DESIGN.md section 18): the EventLoop thread owns every fd and
-// every Conn.  Runtime worker completions never touch a socket -- they
-// call queue_reply(), which appends to a pending vector under a mutex and
-// posts ONE flush task per batch back to the loop; the flush task groups
-// replies by connection, encodes them directly into each connection's
-// outbound buffer, and issues one send() per touched connection.  That is
-// the reply-side batching mirror of the install path's (bs, clause)
-// batching.
+// Run to completion (DESIGN.md section 18): the EventLoop thread owns every
+// fd and every Conn, and it alone serves a request.  One read burst -- the
+// bytes a readable event finds in the kernel -- is decoded frame by frame;
+// each packet-in is dispatched on the loop thread and its reply encoded
+// straight into the connection's outbound buffer, as are echo and stats
+// replies; then the connection is flushed once, so a burst of N requests
+// costs one send(), not N, and no thread hand-off.
 //
 // Backpressure: each connection's outbound buffer is bounded
 // (Options::max_outbound_bytes).  A slow client -- one that stops reading
@@ -22,8 +21,8 @@
 // client's pace.  Echo and stats replies bypass the cap (they are the
 // probes a client uses to observe the drop).
 //
-// Drain (SIGTERM path): stop accepting, let the runtime finish every
-// in-flight request, flush what the kernel will take, then close.
+// Drain (SIGTERM path): stop accepting, then flush what the kernel will
+// take.  Every request the loop has read is already answered.
 #pragma once
 
 #include <chrono>
@@ -32,7 +31,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/dispatch.hpp"
@@ -40,7 +38,6 @@
 #include "net/net_stats.hpp"
 #include "ofp/codec.hpp"
 #include "telemetry/registry.hpp"
-#include "util/annotations.hpp"
 
 namespace softcell::net {
 
@@ -83,9 +80,9 @@ class ControllerServer {
   [[nodiscard]] NetStats& stats() { return stats_; }
 
   // Graceful drain, from any non-loop thread while the loop runs: stop
-  // accepting, wait for every dispatched request to complete, then flush
-  // outbound buffers until empty or `timeout` elapses.  Returns true if
-  // everything flushed.  Does not stop the loop.
+  // accepting, then wait until every outbound buffer is flushed or
+  // `timeout` elapses.  Returns true if everything flushed.  Does not stop
+  // the loop.
   bool drain(std::chrono::milliseconds timeout);
 
   // Closes every connection and stops the loop (posted; returns
@@ -107,18 +104,17 @@ class ControllerServer {
 
   void on_accept(std::uint32_t events);
   void on_conn_event(std::uint64_t id, std::uint32_t events);
-  // Reads until EAGAIN, then processes every complete frame.
+  // Reads until EAGAIN, serves every complete frame, then flushes once.
   void on_readable(Conn& conn);
-  // True to keep the connection open.
+  // Serves one frame, encoding its reply into conn.out.  True to keep the
+  // connection open.
   bool handle_frame(Conn& conn, std::span<const std::uint8_t> frame);
-  void queue_reply(std::uint64_t conn_id, ofp::PacketInReply&& reply);
-  void flush_pending_replies();
   // Sends what the kernel will take.  A hard send() failure closes and
   // DESTROYS the conn; returns false in that case, true if the conn is
-  // still alive.  Callers that touch the conn (or any reference to it)
-  // afterwards must check the result or re-resolve the id in conns_.
+  // still alive.
   bool flush_conn(Conn& conn);
   void close_conn(Conn& conn);
+  void stop_accepting();
   // Runs fn on the loop thread and waits for it (requires a running loop).
   void run_on_loop(std::function<void()> fn);
 
@@ -137,11 +133,6 @@ class ControllerServer {
   bool accepting_ = false;  // loop thread only
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-
-  sc::Mutex reply_mu_;
-  std::vector<std::pair<std::uint64_t, ofp::PacketInReply>> pending_replies_
-      SC_GUARDED_BY(reply_mu_);
-  bool flush_scheduled_ SC_GUARDED_BY(reply_mu_) = false;
 
   telemetry::Registry::CollectorHandle collector_;
 };

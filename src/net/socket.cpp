@@ -77,11 +77,16 @@ int listen_loopback(std::uint16_t port, std::uint16_t* bound_port,
   return fd;
 }
 
-int connect_loopback(std::uint16_t port, std::string* err) {
+int connect_loopback(std::uint16_t port, std::string* err,
+                     std::size_t rcvbuf_bytes) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     fail(err, "socket");
     return -1;
+  }
+  if (rcvbuf_bytes > 0) {
+    const int rcvbuf = static_cast<int>(rcvbuf_bytes);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   }
   sockaddr_in addr = loopback_addr(port);
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=

@@ -8,6 +8,7 @@
 // socket syscalls.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -25,8 +26,11 @@ bool set_nonblocking(int fd);
                                   std::string* err);
 
 // Blocking connect to 127.0.0.1:port.  Returns the connected fd (blocking
-// mode, TCP_NODELAY) or -1 with *err set.
-[[nodiscard]] int connect_loopback(std::uint16_t port, std::string* err);
+// mode, TCP_NODELAY) or -1 with *err set.  rcvbuf_bytes > 0 pins SO_RCVBUF
+// before the handshake, so the window the peer may fill is small from the
+// first byte (set after connect, it cannot shrink the advertised window).
+[[nodiscard]] int connect_loopback(std::uint16_t port, std::string* err,
+                                   std::size_t rcvbuf_bytes = 0);
 
 // Blocking send-all; returns false if the peer went away.  Used by the
 // client side (the load generator blocks per-connection by design); the

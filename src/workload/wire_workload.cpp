@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "net/client.hpp"
-#include "runtime/runtime.hpp"
 #include "telemetry/registry.hpp"
 
 namespace softcell {
@@ -98,21 +97,16 @@ std::uint64_t run_wire_workload_inprocess(const CellularTopology& topo,
                      config.shards);
   const std::uint32_t num_bs = topo.num_base_stations();
   provision_wire_ues(bundle.brain(), config, num_bs);
-
-  ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+  net::BrainDispatcher dispatcher(bundle.brain());
 
   // The same per-connection streams the wire client sends, dispatched
-  // through the same boundary; completions are fire-and-forget because the
-  // reference only needs the final state, not the replies.
+  // through the same boundary; the replies are dropped because the
+  // reference only needs the final state.
   for (std::uint32_t c = 0; c < config.connections; ++c) {
     WireRequestGen gen(config, num_bs, clauses, c);
-    for (std::uint64_t i = 0; i < config.requests_per_conn; ++i) {
-      dispatcher.dispatch(gen.next(), [](ofp::PacketInReply&&) {});
-    }
+    for (std::uint64_t i = 0; i < config.requests_per_conn; ++i)
+      dispatcher.dispatch(gen.next());
   }
-  dispatcher.drain();
   return dispatcher.fingerprint();
 }
 

@@ -34,7 +34,6 @@ struct WireWorkloadConfig {
   std::uint32_t k = 4;              // topology size (must match server side)
   std::uint64_t topo_seed = 1;
   std::size_t shards = 8;
-  unsigned workers = 2;
   std::uint32_t connections = 4;    // N emulated switch agents
   std::uint32_t max_outstanding = 16;  // M pipelined requests per connection
   std::uint32_t ues_per_conn = 64;
@@ -99,7 +98,7 @@ class WireRequestGen {
   std::uint32_t xid_ = 0;
 };
 
-// Runs the whole workload in-process through the same RuntimeDispatcher
+// Runs the whole workload in-process through the same BrainDispatcher
 // boundary the socket server uses and returns the canonical controller
 // fingerprint -- the reference value the wire run must reproduce.
 [[nodiscard]] std::uint64_t run_wire_workload_inprocess(

@@ -4,11 +4,12 @@
 // Directed coverage for the stream-layer hazards a wire protocol must
 // survive: partial reads (frames cut at arbitrary byte boundaries by the
 // kernel), short writes (kernel send buffer full mid-reply), connections
-// dropped with requests still in flight, and slow clients that stop
-// reading while replies accumulate (bounded outbound buffer, drop and
-// count, connection survives).  Plus the acceptance property: a wire run
-// of the deterministic cbench workload lands on the exact controller
-// fingerprint the in-process reference run produces.
+// closed mid-frame, and slow clients that stop reading while replies
+// accumulate (bounded outbound buffer, drop and count, connection
+// survives).  Plus the acceptance properties: a read burst is answered on
+// the loop thread with one flush, and a wire run of the deterministic
+// cbench workload lands on the exact controller fingerprint the in-process
+// reference run produces.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -17,18 +18,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
+#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
 #include "net/dispatch.hpp"
 #include "net/event_loop.hpp"
-#include "runtime/runtime.hpp"
 #include "telemetry/registry.hpp"
 #include "workload/wire_workload.hpp"
 
@@ -47,70 +44,26 @@ bool poll_until(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
   return true;
 }
 
-// Replies inline from the loop thread: xid/kind echoed, digest derived
-// from the request so the client can verify payload integrity end to end.
+// Replies from the request alone: xid/kind echoed, digest derived from
+// the request so the client can verify payload integrity end to end.
 class EchoDispatcher final : public net::Dispatcher {
  public:
-  void dispatch(const ofp::PacketInMsg& msg,
-                std::function<void(ofp::PacketInReply&&)> done) override {
+  ofp::PacketInReply dispatch(const ofp::PacketInMsg& msg) override {
     ofp::PacketInReply reply;
     reply.xid = msg.xid;
     reply.kind = msg.kind;
     reply.digest =
         (static_cast<std::uint64_t>(msg.ue.value()) << 32) | msg.bs;
-    dispatched.fetch_add(1, std::memory_order_relaxed);
-    done(std::move(reply));
+    return reply;
   }
   [[nodiscard]] std::uint64_t fingerprint() override { return 0xF00D; }
-  void drain() override {}
-
-  std::atomic<std::uint64_t> dispatched{0};
 };
 
-// Holds every completion until released, so tests control exactly when
-// replies race connection teardown.
-class HoldDispatcher final : public net::Dispatcher {
- public:
-  void dispatch(const ofp::PacketInMsg& msg,
-                std::function<void(ofp::PacketInReply&&)> done) override {
-    ofp::PacketInReply reply;
-    reply.xid = msg.xid;
-    reply.kind = msg.kind;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      held_.emplace_back(std::move(reply), std::move(done));
-      ++total_;
-    }
-    cv_.notify_all();
-  }
-  [[nodiscard]] std::uint64_t fingerprint() override { return 0; }
-  void drain() override { release_all(); }
-
-  bool wait_for_dispatched(std::size_t n,
-                           std::chrono::milliseconds timeout = 5000ms) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [&] { return total_ >= n; });
-  }
-
-  void release_all() {
-    std::vector<std::pair<ofp::PacketInReply,
-                          std::function<void(ofp::PacketInReply&&)>>>
-        take;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      take.swap(held_);
-    }
-    for (auto& [reply, done] : take) done(std::move(reply));
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::pair<ofp::PacketInReply,
-                        std::function<void(ofp::PacketInReply&&)>>>
-      held_;
-  std::size_t total_ = 0;
-};
+// A client receive buffer pinned before the handshake: with the server's
+// pinned 8 KiB SO_SNDBUF, the kernel holds at most the two buffers
+// (doubled by the kernel: 16 KiB + 8 KiB) of replies the client has not
+// read.
+constexpr std::size_t kPinnedRcvbuf = 4096;
 
 // Loop + server + loop thread, torn down in order.
 class ServerHarness {
@@ -224,11 +177,7 @@ TEST(NetServer, ShortWritesRecoverWithoutLoss) {
 
   net::WireConn conn;
   std::string err;
-  ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
-  const int rcvbuf = 4096;
-  ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
-                         sizeof(rcvbuf)),
-            0);
+  ASSERT_TRUE(conn.connect(h.port(), &err, kPinnedRcvbuf)) << err;
 
   constexpr std::uint32_t kRequests = 4000;  // 96 KiB of replies
   std::vector<std::uint8_t> batch;
@@ -254,30 +203,26 @@ TEST(NetServer, ShortWritesRecoverWithoutLoss) {
   EXPECT_EQ(h.stats().packet_ins.load(), kRequests);
 }
 
-// Connection drops while its request is still in the pipeline: the
-// completion finds the connection gone and is counted, never crashes,
-// never lands on a reused connection.
-TEST(NetServer, MidRequestConnectionDrop) {
-  HoldDispatcher dispatcher;
+// A peer that closes mid-frame just ends the stream: the whole frame
+// before the cut is served, and the half frame left behind is not a decode
+// error.
+TEST(NetServer, FrameCutOffByPeerCloseIsNotADecodeError) {
+  EchoDispatcher dispatcher;
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
 
   net::WireConn conn;
   std::string err;
   ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
-  ASSERT_TRUE(conn.send_packet_in(fetch_msg(1, 42, 0)));
-  ASSERT_TRUE(dispatcher.wait_for_dispatched(1));
-
-  // A second frame cut off mid-stream plus the close: the half frame must
-  // not count as a decode error (the stream just ended).
+  std::vector<std::uint8_t> bytes = ofp::encode_packet_in(fetch_msg(1, 42, 0));
   const auto partial = ofp::encode_packet_in(fetch_msg(2, 43, 0));
-  ASSERT_TRUE(conn.send_bytes(std::span(partial).first(10)));
+  bytes.insert(bytes.end(), partial.begin(), partial.begin() + 10);
+  ASSERT_TRUE(conn.send_bytes(bytes));
   conn.close();
-  ASSERT_TRUE(poll_until([&] { return h.stats().closes.load() == 1; }));
 
-  dispatcher.release_all();
-  ASSERT_TRUE(
-      poll_until([&] { return h.stats().dropped_replies.load() == 1; }));
+  ASSERT_TRUE(poll_until([&] { return h.stats().closes.load() == 1; }));
+  EXPECT_EQ(h.stats().packet_ins.load(), 1u);
+  EXPECT_EQ(h.stats().replies_out.load(), 1u);
   EXPECT_EQ(h.stats().decode_errors.load(), 0u);
   EXPECT_EQ(h.stats().conns_open.load(), 0);
 }
@@ -327,15 +272,12 @@ TEST(NetServer, SlowClientBackpressureDropsAndSurvives) {
 
   net::WireConn conn;
   std::string err;
-  ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
-  const int rcvbuf = 4096;
-  ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
-                         sizeof(rcvbuf)),
-            0);
+  ASSERT_TRUE(conn.connect(h.port(), &err, kPinnedRcvbuf)) << err;
 
   // Fill the kernel buffers and the server-side outbound buffer with echo
-  // replies (echo bypasses the cap: it is the probe).  64 KiB of replies
-  // against ~16 KiB of pinned kernel capacity keeps unsent >> 64 bytes.
+  // replies (echo bypasses the cap: it is the probe).  64,000 B of replies
+  // against at most 24 KiB of pinned kernel capacity keeps unsent far
+  // above the 64 B cap until the client reads.
   constexpr std::uint32_t kEchoes = 8000;
   std::vector<std::uint8_t> echoes;
   echoes.reserve(kEchoes * ofp::kHeaderSize);
@@ -344,7 +286,24 @@ TEST(NetServer, SlowClientBackpressureDropsAndSurvives) {
     echoes.insert(echoes.end(), e.begin(), e.end());
   }
   ASSERT_TRUE(conn.send_bytes(echoes));
-  ASSERT_TRUE(poll_until([&] { return h.stats().short_writes.load() >= 1; }));
+  const auto counters = [&] {
+    const net::NetStats& st = h.stats();
+    return "packet_ins=" + std::to_string(st.packet_ins.load()) +
+           " backpressure_drops=" +
+           std::to_string(st.backpressure_drops.load()) +
+           " replies_out=" + std::to_string(st.replies_out.load()) +
+           " frames_in=" + std::to_string(st.frames_in.load()) +
+           " bytes_out=" + std::to_string(st.bytes_out.load());
+  };
+  // Every echo is answered and the kernel has refused part of the replies
+  // before the first packet-in is sent.
+  ASSERT_TRUE(poll_until([&] {
+    return h.stats().frames_in.load() == kEchoes &&
+           h.stats().short_writes.load() >= 1;
+  })) << counters();
+  ASSERT_LE(h.stats().bytes_out.load() + options.max_outbound_bytes,
+            kEchoes * ofp::kHeaderSize)
+      << "the kernel took the echo backlog: " << counters();
 
   // Every packet-in reply now lands on a buffer at the cap: all dropped.
   constexpr std::uint32_t kDropped = 50;
@@ -352,9 +311,10 @@ TEST(NetServer, SlowClientBackpressureDropsAndSurvives) {
   for (std::uint32_t i = 0; i < kDropped; ++i)
     ofp::encode_packet_in_into(batch, fetch_msg(i, i, 0));
   ASSERT_TRUE(conn.send_bytes(batch));
-  ASSERT_TRUE(poll_until(
-      [&] { return h.stats().backpressure_drops.load() == kDropped; }));
-  EXPECT_EQ(h.stats().replies_out.load(), 0u);
+  ASSERT_TRUE(poll_until([&] {
+    return h.stats().backpressure_drops.load() == kDropped;
+  })) << counters();
+  EXPECT_EQ(h.stats().replies_out.load(), 0u) << counters();
 
   // The connection is intact: drain the echo backlog, then round-trip.
   std::uint32_t echo_replies = 0;
@@ -385,11 +345,7 @@ TEST(NetServer, EchoFloodPastHardCapCloses) {
 
   net::WireConn conn;
   std::string err;
-  ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
-  const int rcvbuf = 4096;
-  ASSERT_EQ(::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
-                         sizeof(rcvbuf)),
-            0);
+  ASSERT_TRUE(conn.connect(h.port(), &err, kPinnedRcvbuf)) << err;
 
   // ~256 KiB of echo replies against ~16 KiB of pinned kernel capacity
   // and a 4 KiB hard cap: the server must close, not buffer the rest.
@@ -466,9 +422,7 @@ TEST(NetServer, WireRunMatchesInProcessFingerprintThenDrains) {
                      make_wire_policy(topo, config.num_clauses, &clauses),
                      config.shards);
   provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+  net::BrainDispatcher dispatcher(bundle.brain());
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
 
@@ -484,7 +438,11 @@ TEST(NetServer, WireRunMatchesInProcessFingerprintThenDrains) {
 
   // Graceful drain: everything flushes, and new connections are no longer
   // accepted (the listener is out of the loop; echo gets no answer).
+  // Every packet-in was answered or counted as dropped.
   EXPECT_TRUE(h.server().drain(5000ms));
+  EXPECT_EQ(h.stats().packet_ins.load(),
+            h.stats().replies_out.load() +
+                h.stats().backpressure_drops.load());
   const std::uint64_t accepts = h.stats().accepts.load();
   net::WireConn late;
   std::string err;
@@ -509,9 +467,7 @@ TEST(NetServer, PathRequestsPastThePortTagBudgetAreRejected) {
                      make_wire_policy(topo, config.num_clauses, &clauses),
                      config.shards);
   provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  ControlPlaneRuntime runtime(
-      bundle.brain(), {.workers = config.workers, .queue_capacity = 8192});
-  net::RuntimeDispatcher dispatcher(runtime, bundle.brain());
+  net::BrainDispatcher dispatcher(bundle.brain());
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
   net::WireConn conn;
@@ -522,7 +478,7 @@ TEST(NetServer, PathRequestsPastThePortTagBudgetAreRejected) {
       telemetry::Registry::global().counter("agg.tag_budget_rejects");
   const std::uint64_t rejects_before = rejects.value();
   const std::uint32_t budget = PortCodec(10).max_tags();
-  std::uint32_t not_ok = 0, max_tag = 0;
+  std::uint32_t ok = 0, not_ok = 0, max_tag = 0;
   for (std::uint32_t c = 0; c < config.num_clauses; ++c) {
     ofp::PacketInMsg msg;
     msg.xid = c;
@@ -540,12 +496,66 @@ TEST(NetServer, PathRequestsPastThePortTagBudgetAreRejected) {
       ++not_ok;
       continue;
     }
+    ++ok;
     EXPECT_LT(reply->tag.value(), budget) << "clause " << c;
     max_tag = std::max<std::uint32_t>(max_tag, reply->tag.value());
   }
-  EXPECT_GT(not_ok, 0u);
+  EXPECT_EQ(ok, budget - 1);  // 1,023 ok: tag 0 is delivery's
+  EXPECT_EQ(not_ok, config.num_clauses - (budget - 1));  // 77
   EXPECT_EQ(max_tag, budget - 1);  // the budget is used up, not undercut
   EXPECT_EQ(rejects.value() - rejects_before, not_ok);
+}
+
+// Run to completion: 16 path requests written with one send are one read
+// burst, answered on the loop thread and flushed once -- 16 replies in xid
+// order, each with the brain's tag for its key, and one reply batch.
+TEST(NetServer, OneReadBurstIsAnsweredWithOneFlush) {
+  WireWorkloadConfig config;
+  config.shards = 4;
+  const CellularTopology topo = config.make_topology();
+  std::vector<ClauseId> clauses;
+  BrainBundle bundle(topo,
+                     make_wire_policy(topo, config.num_clauses, &clauses),
+                     config.shards);
+  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
+  net::BrainDispatcher dispatcher(bundle.brain());
+  ServerHarness h(dispatcher);
+  ASSERT_TRUE(h.ok());
+  net::WireConn conn;
+  std::string err;
+  ASSERT_TRUE(conn.connect(h.port(), &err)) << err;
+
+  // UE q + 1 sits at base station 0 with provider clause q: 16 keys.
+  constexpr std::uint32_t kRequests = 16;
+  std::vector<ofp::PacketInMsg> msgs;
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t q = 0; q < kRequests; ++q) {
+    ofp::PacketInMsg msg;
+    msg.xid = q;
+    msg.kind = ofp::PacketInMsg::Kind::kPolicyPath;
+    msg.ue = UeId(q + 1);
+    msg.bs = 0;
+    msg.clause = clauses[q % clauses.size()];
+    ofp::encode_packet_in_into(burst, msg);
+    msgs.push_back(msg);
+  }
+  const std::uint64_t batches_before = h.stats().reply_batches.load();
+  ASSERT_TRUE(conn.send_bytes(burst));
+
+  for (const ofp::PacketInMsg& msg : msgs) {
+    const auto frame = conn.recv_frame(5000ms);
+    ASSERT_TRUE(frame) << "reply " << msg.xid;
+    const auto reply = ofp::decode_packet_in_reply(*frame);
+    ASSERT_TRUE(reply);
+    EXPECT_EQ(reply->xid, msg.xid);
+    EXPECT_TRUE(reply->ok);
+    // A warm request for the same key returns the tag the burst installed.
+    EXPECT_EQ(reply->tag,
+              bundle.brain().request_policy_path(msg.ue, msg.bs, msg.clause))
+        << "xid " << msg.xid;
+  }
+  EXPECT_EQ(h.stats().reply_batches.load() - batches_before, 1u);
+  EXPECT_EQ(h.stats().replies_out.load(), kRequests);
 }
 
 // The serving stats surface in the global telemetry registry next to the
