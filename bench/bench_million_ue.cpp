@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mem/slab.hpp"
@@ -256,6 +257,7 @@ int main(int argc, char** argv) {
               slab_ctrl_per_ue, meets_target ? "met" : "MISSED");
 
   telemetry::BenchReport report("million_ue");
+  report.meta_u64("hardware_threads", std::thread::hardware_concurrency());
   report.meta_bool("smoke", smoke);
   report.meta_u64("k", p.k);
   report.meta_u64("num_ues", p.num_ues);

@@ -63,6 +63,7 @@ std::size_t EventQueue::run(std::size_t max_events) {
 }
 
 std::size_t EventQueue::run_until(SimTime t) {
+  if (t < now_) throw std::invalid_argument("EventQueue: running until the past");
   std::size_t n = 0;
   for (std::size_t ran; (ran = step_merged(t)) > 0;) n += ran;
   // Move the wheel base to the last tick strictly before t, so timers armed

@@ -12,7 +12,11 @@
 //     instead of a heap tombstone.
 // step()/run()/run_until() merge the two in time order; at equal instants
 // heap events run before wheel timers (the pre-wheel behavior of pure
-// workload runs is bit-identical).
+// workload runs is bit-identical).  Each merge step asks the wheel for its
+// next stop, which costs one masked scan of four bitmap words per wheel
+// level whatever the number of armed timers.  When that query visited every
+// occupied slot, the traced million-UE day spent 1.3 us of queue time per
+// event; it now spends about 0.36 us (DESIGN.md section 15.4).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +61,8 @@ class EventQueue {
   // together, so the last step may carry the count past the cap.
   std::size_t run(std::size_t max_events = SIZE_MAX);
   // Runs all events scheduled strictly before `t`, then advances now() to t;
-  // returns how many callbacks ran.
+  // returns how many callbacks ran.  Throws std::invalid_argument when `t`
+  // is before now(), as at() does: the clock never runs backwards.
   std::size_t run_until(SimTime t);
 
  private:

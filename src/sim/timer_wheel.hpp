@@ -5,7 +5,10 @@
 // level wraps.  Scheduling and cancelling are O(1); advancing time skips
 // empty stretches via per-level occupancy bitmaps, so a million idle UEs
 // whose timers sit far in the future cost nothing per tick -- unlike the
-// global binary heap, where every armed timer pays log(n) churn.
+// global binary heap, where every armed timer pays log(n) churn.  Finding
+// the next stop, next_pending_tick(), is one masked scan of four bitmap
+// words per level, whatever the number of occupied slots: a couple of
+// hundred through the million-UE day (DESIGN.md section 15.4).
 //
 // Timer storage is a mem::Slab: a TimerId is a generation-checked handle,
 // so an already-fired or double-cancelled id is a safe no-op.  Cancellation
@@ -72,35 +75,31 @@ class TimerWheel {
   // The earliest tick > now() at which advance() may deliver a timer, or
   // kNever.  Exact for level 0; for higher levels and the overflow list it
   // is the cascade boundary, i.e. a lower bound that advance() refines.
+  // A level's slots open in rotation order starting with the slot after
+  // now()'s (now()'s own slot and those before it open only in the next
+  // rotation), so the first occupied slot met scanning from there round to
+  // now()'s slot is that level's earliest window: one masked scan of four
+  // bitmap words per level, however many slots are occupied.
   [[nodiscard]] std::uint64_t next_pending_tick() const {
+    constexpr std::uint32_t kWords = kSlots / 64;
     std::uint64_t best = kNever;
-    // Level 0: slot s fires at the next tick > now_ whose low byte is s.
-    for (std::uint32_t w = 0; w < kSlots / 64; ++w) {
-      std::uint64_t bits = bitmap_[0][w];
-      while (bits != 0) {
-        const std::uint32_t s =
-            w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        std::uint64_t t = (now_ & ~std::uint64_t{kSlots - 1}) | s;
-        if (t <= now_) t += kSlots;
-        best = std::min(best, t);
-      }
-    }
-    // Levels 1..3: the slot's window start (where its entries cascade).
-    for (std::uint32_t lvl = 1; lvl < kLevels; ++lvl) {
+    for (std::uint32_t lvl = 0; lvl < kLevels; ++lvl) {
       const std::uint32_t shift = lvl * kSlotBits;
-      for (std::uint32_t w = 0; w < kSlots / 64; ++w) {
-        std::uint64_t bits = bitmap_[lvl][w];
-        while (bits != 0) {
-          const std::uint32_t s =
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          std::uint64_t base =
-              (((now_ >> shift) & ~std::uint64_t{kSlots - 1}) | s) << shift;
-          if (base <= now_) base += std::uint64_t{kSlots} << shift;
-          best = std::min(best, base);
-        }
+      const std::uint64_t cur = now_ >> shift;  // now()'s window at lvl
+      const std::uint32_t from =
+          static_cast<std::uint32_t>(cur + 1) & (kSlots - 1);
+      std::uint32_t w = from / 64;
+      std::uint64_t bits =
+          bitmap_[lvl][w] & (~std::uint64_t{0} << (from % 64));
+      for (std::uint32_t i = 0; i < kWords && bits == 0; ++i) {
+        w = (w + 1) % kWords;  // the last read is word `from / 64` again
+        bits = bitmap_[lvl][w];
       }
+      if (bits == 0) continue;
+      const std::uint32_t s =
+          w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+      // Slot s opens (s - from) mod 256 windows after window cur + 1.
+      best = std::min(best, (cur + 1 + ((s - from) & (kSlots - 1))) << shift);
     }
     if (!overflow_.empty()) {
       // Overflow re-examined when the top level wraps (every 2^32 ticks).

@@ -51,6 +51,19 @@ TEST(EventQueue, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
+TEST(EventQueue, RunUntilRejectsThePast) {
+  // A run_until(t) with t < now() must not set the clock back: at() would
+  // then accept events earlier than ones that already ran.
+  EventQueue q;
+  q.at(5.0, [] {});
+  q.run();
+  EXPECT_THROW(q.run_until(1.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(q.now(), 5.0);
+  EXPECT_THROW(q.at(2.0, [] {}), std::invalid_argument);
+  EXPECT_EQ(q.run_until(5.0), 0u);  // t == now() is allowed
+  EXPECT_DOUBLE_EQ(q.now(), 5.0);
+}
+
 TEST(EventQueue, EventsCanScheduleEvents) {
   EventQueue q;
   int depth = 0;

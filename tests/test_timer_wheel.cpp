@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -211,6 +213,152 @@ TEST(TimerWheel, DeterministicAndMatchesHeapOrdering) {
     for (const Sched& s : plan) w.schedule(s.deadline, s.payload);
     const auto fired = drain(w, 10'000);
     ASSERT_EQ(fired, expect) << "run " << run;
+  }
+}
+
+// --- randomized differential: every level, the overflow list, the wrap ----
+// Deadlines spread over levels 0-3 and past the 2^32-tick span, armed from
+// wheel positions across the whole run (between stops and from inside the
+// sink), with cancels both outside and inside the sink.  The reference is
+// an ordered (deadline, seq) model of the live timers: every delivery must
+// be its least entry, at its exact tick.  Armed from late positions, the
+// higher levels hold slots behind their current slot, which
+// next_pending_tick() must place in the next rotation.
+
+class WheelModel {
+ public:
+  static constexpr std::uint64_t kBudget = 3000;  // timers scheduled per run
+
+  // The wheel starts at a random tick below 2^36, so every level's current
+  // slot starts somewhere other than 0.
+  explicit WheelModel(std::uint64_t seed)
+      : rng_(seed), w_(rng_.next_below(std::uint64_t{1} << 36)) {}
+
+  Wheel& wheel() { return w_; }
+  [[nodiscard]] std::uint64_t scheduled() const { return ids_.size(); }
+  [[nodiscard]] bool empty() const { return live_.empty(); }
+
+  // A delay on a random level (0-3), or, one time in nine, past the 2^32
+  // span onto the overflow list.
+  std::uint64_t random_delay() {
+    const std::uint64_t pick = rng_.next_below(9);
+    if (pick == 8) return kSpan + rng_.next_below(kSpan);
+    const std::uint64_t lvl = pick / 2;
+    const std::uint64_t lo = lvl == 0 ? 1 : std::uint64_t{1} << (8 * lvl);
+    return lo + rng_.next_below((std::uint64_t{1} << (8 * lvl + 8)) - lo);
+  }
+
+  void schedule() {
+    if (scheduled() == kBudget) return;
+    const std::uint64_t deadline = w_.now() + random_delay();
+    const std::uint64_t seq = scheduled();
+    ids_.push_back(w_.schedule(deadline, seq));
+    deadlines_.push_back(deadline);
+    live_.emplace(deadline, seq);
+  }
+
+  // Cancels one of the last 256 timers armed; a fired or cancelled one
+  // must report false.
+  void cancel_recent() {
+    if (ids_.empty()) return;
+    const std::uint64_t back =
+        rng_.next_below(std::min<std::uint64_t>(256, scheduled()));
+    const std::uint64_t seq = scheduled() - 1 - back;
+    const bool armed = live_.erase({deadlines_[seq], seq}) == 1;
+    EXPECT_EQ(w_.cancel(ids_[seq]), armed) << "seq " << seq;
+  }
+
+  // Arms or cancels at random: the churn between two stops.
+  void churn() {
+    if (rng_.next_below(2) == 0) schedule();
+    if (rng_.next_below(8) == 0) cancel_recent();
+  }
+
+  // Checks one delivery against the model, then re-arms, cancels the next
+  // timer due this same tick, or cancels a recent one, at random.
+  void deliver(std::uint64_t deadline, std::uint64_t seq) {
+    ASSERT_FALSE(live_.empty()) << "delivery with no live timer";
+    EXPECT_EQ(std::make_pair(deadline, seq), *live_.begin());
+    EXPECT_EQ(deadline, w_.now());
+    live_.erase(live_.begin());
+    const std::uint64_t roll = rng_.next_below(8);
+    if (roll < 3) {
+      schedule();
+    } else if (roll == 3 && !live_.empty() &&
+               live_.begin()->first == w_.now()) {
+      const std::uint64_t next = live_.begin()->second;
+      live_.erase(live_.begin());
+      EXPECT_TRUE(w_.cancel(ids_[next]));
+    } else if (roll == 4) {
+      cancel_recent();
+    }
+  }
+
+  // now() < next_pending_tick() <= the earliest live deadline.
+  void check_bound() {
+    const std::uint64_t next = w_.next_pending_tick();
+    EXPECT_LT(w_.now(), next);
+    if (!live_.empty()) {
+      EXPECT_LE(next, live_.begin()->first);
+    }
+  }
+
+  std::size_t advance(std::uint64_t to) {
+    return w_.advance(to, [this](std::uint64_t deadline, std::uint64_t seq) {
+      deliver(deadline, seq);
+    });
+  }
+
+ private:
+  static constexpr std::uint64_t kSpan = std::uint64_t{1} << 32;
+
+  Rng rng_;
+  Wheel w_;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> live_;  // (deadline, seq)
+  std::vector<Wheel::TimerId> ids_;                           // by seq
+  std::vector<std::uint64_t> deadlines_;                      // by seq
+};
+
+TEST(TimerWheel, RandomizedStopByStopMatchesModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    WheelModel m(seed);
+    for (int i = 0; i < 300; ++i) m.schedule();
+    std::uint64_t stops = 0;
+    for (std::uint64_t next;
+         (next = m.wheel().next_pending_tick()) != Wheel::kNever;) {
+      m.check_bound();
+      EXPECT_EQ(m.advance(next - 1), 0u);  // nothing is due before the stop
+      EXPECT_EQ(m.wheel().next_pending_tick(), next);
+      m.advance(next);  // fires, reaps or cascades
+      ++stops;
+      m.churn();
+      if (HasFailure()) return;
+    }
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.wheel().pending(), 0u);
+    EXPECT_EQ(m.scheduled(), WheelModel::kBudget);
+    EXPECT_LE(stops, 4 * m.scheduled());
+  }
+}
+
+TEST(TimerWheel, RandomizedTargetsMatchModel) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    WheelModel m(seed);
+    for (int i = 0; i < 300; ++i) m.schedule();
+    while (m.scheduled() < WheelModel::kBudget ||
+           m.wheel().next_pending_tick() != Wheel::kNever) {
+      const std::uint64_t to = m.wheel().now() + m.random_delay();
+      m.advance(to);
+      EXPECT_EQ(m.wheel().now(), to);
+      m.check_bound();
+      m.churn();
+      if (HasFailure()) return;
+    }
+    EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.wheel().pending(), 0u);
+    EXPECT_EQ(m.scheduled(), WheelModel::kBudget);
   }
 }
 
