@@ -298,10 +298,11 @@ rows = d["results"]
 last = max(rows, key=lambda r: r["workers"])
 if d["meta"]["valid_scaling"]:
     speedup = last["speedup_vs_1"]
+    workers = last["workers"]
     if speedup is None or speedup < 2.0:
         sys.exit(f"FAIL: valid_scaling host but speedup_vs_1 at "
-                 f"{last['workers']} workers is {speedup} (< 2.0)")
-    print(f"scaling gate: {speedup:.2f}x at {last['workers']} workers")
+                 f"{workers} workers is {speedup} (< 2.0)")
+    print(f"scaling gate: {speedup:.2f}x at {workers} workers")
 else:
     if any(r["speedup_vs_1"] is not None and r["workers"] > 1 for r in rows):
         sys.exit("FAIL: valid_scaling is false but speedup_vs_1 is not null")

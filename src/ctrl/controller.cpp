@@ -53,7 +53,7 @@ void Controller::provision_subscriber(UeId ue,
 
 void Controller::attach_ue(UeId ue, std::uint32_t bs, LocalUeId local) {
   sc::WriteLock lock(mu_);
-  if (!store_.profile(ue))
+  if (!store_.has_profile(ue))
     throw std::invalid_argument("attach_ue: unknown subscriber");
   store_.set_location(ue, UeLocation{bs, local});
 }
@@ -108,8 +108,7 @@ std::vector<NodeId> Controller::select_instances(std::uint32_t bs,
 
 std::vector<NodeId> Controller::select_instances_locked(
     std::uint32_t bs, ClauseId clause) const {
-  if (const std::vector<NodeId>* sel =
-          selected_.find(SlowState::PathKey{clause, bs}))
+  if (const std::vector<NodeId>* sel = selected_.find(PathKey{clause, bs}))
     return *sel;
   const PolicyClause& c = policy_->clause(clause);
   const std::uint32_t pod = topo_->pod_of_bs(bs);
@@ -197,7 +196,7 @@ Controller::InstalledPath Controller::install_path_locked(
   }
   // Only an installed path counts toward instance load and pins its
   // selection: a denied request leaves no trace.
-  selected_[SlowState::PathKey{clause, bs}] = instances;
+  selected_[PathKey{clause, bs}] = instances;
   for (const NodeId mb : instances) ++instance_load_[mb];
   ++path_installs_;
   return InstalledPath{up_res.tag, up_res.path, down_res.path};
@@ -205,7 +204,7 @@ Controller::InstalledPath Controller::install_path_locked(
 
 PolicyTag Controller::request_policy_path_locked(std::uint32_t bs,
                                                  ClauseId clause) {
-  const SlowState::PathKey key{clause, bs};
+  const PathKey key{clause, bs};
   if (const InstalledPath* p = installed_.find(key)) return p->tag;
 
   std::optional<PolicyTag> hint;
@@ -272,7 +271,7 @@ PolicyTag Controller::request_m2m_path(std::uint32_t src_bs,
 Controller::Migration Controller::migrate_path(std::uint32_t bs,
                                                ClauseId clause) {
   sc::WriteLock lock(mu_);
-  const SlowState::PathKey key{clause, bs};
+  const PathKey key{clause, bs};
   InstalledPath* found = installed_.find(key);
   if (found == nullptr)
     throw std::invalid_argument("migrate_path: path not installed");
@@ -319,10 +318,10 @@ Controller::RecompactResult Controller::recompact() {
   result.tags_before = engine_.tags_in_use();
 
   // Clause-major order maximizes tag sharing on the rebuild.
-  std::vector<SlowState::PathKey> keys;
+  std::vector<PathKey> keys;
   keys.reserve(installed_.size());
   installed_.for_each(
-      [&](const SlowState::PathKey& key, const InstalledPath&) {
+      [&](const PathKey& key, const InstalledPath&) {
         keys.push_back(key);
       });
   std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
@@ -403,7 +402,7 @@ std::uint64_t Controller::state_fingerprint(std::uint64_t fold_store_writes,
   // Installed gateway paths, canonical order.
   std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint16_t>> paths;
   paths.reserve(installed_.size());
-  installed_.for_each([&](const SlowState::PathKey& key, const InstalledPath& p) {
+  installed_.for_each([&](const PathKey& key, const InstalledPath& p) {
     paths.emplace_back(key.clause.value(), key.bs, p.tag.value());
   });
   std::sort(paths.begin(), paths.end());
@@ -464,13 +463,13 @@ std::uint64_t Controller::state_fingerprint(std::uint64_t fold_store_writes,
   return f.h;
 }
 
-std::vector<std::pair<SlowState::PathKey, PolicyTag>>
+std::vector<std::pair<PathKey, PolicyTag>>
 Controller::installed_paths() const {
   sc::ReadLock lock(mu_);
-  std::vector<std::pair<SlowState::PathKey, PolicyTag>> out;
+  std::vector<std::pair<PathKey, PolicyTag>> out;
   out.reserve(installed_.size());
   installed_.for_each(
-      [&](const SlowState::PathKey& key, const InstalledPath& p) {
+      [&](const PathKey& key, const InstalledPath& p) {
         out.emplace_back(key, p.tag);
       });
   return out;

@@ -263,7 +263,7 @@ class Controller : public ControlPlane {
   // Every installed (clause, bs) gateway path with its tag, in no
   // particular order -- the commit stage rebuilds its tag slots from this
   // after a bulk re-tag (recompact, out-of-band core maintenance).
-  [[nodiscard]] std::vector<std::pair<SlowState::PathKey, PolicyTag>>
+  [[nodiscard]] std::vector<std::pair<PathKey, PolicyTag>>
   installed_paths() const SC_EXCLUDES(mu_);
 
   // The installed m2m half-path's tag, or nullopt (reader lock).
@@ -315,7 +315,7 @@ class Controller : public ControlPlane {
   ControlStore store_ SC_GUARDED_BY(mu_);
 
   mutable sc::SharedMutex mu_;
-  mem::SlabMap<SlowState::PathKey, InstalledPath, SlowState::PathKeyHash>
+  mem::SlabMap<PathKey, InstalledPath, PathKeyHash>
       installed_ SC_GUARDED_BY(mu_);
   struct M2mKey {
     ClauseId clause;
@@ -336,7 +336,7 @@ class Controller : public ControlPlane {
   mem::SlabMap<ClauseId, PolicyTag> clause_hints_ SC_GUARDED_BY(mu_);
   // Old path versions kept alive while their flows drain (migrate_path).
   struct DrainKey {
-    SlowState::PathKey key;
+    PathKey key;
     PolicyTag tag;
     friend bool operator==(const DrainKey&, const DrainKey&) = default;
   };
@@ -354,9 +354,8 @@ class Controller : public ControlPlane {
   // Memoized instance selection per installed (clause, bs) path.  Written
   // only by install_path_locked (writer lock); readers see an immutable map
   // under the shared lock.
-  mutable mem::SlabMap<SlowState::PathKey, std::vector<NodeId>,
-                       SlowState::PathKeyHash>
-      selected_ SC_GUARDED_BY(mu_);
+  mutable mem::SlabMap<PathKey, std::vector<NodeId>, PathKeyHash> selected_
+      SC_GUARDED_BY(mu_);
   ClassifierListener listener_ SC_GUARDED_BY(mu_);
   std::uint64_t path_installs_ SC_GUARDED_BY(mu_) = 0;
 };

@@ -19,7 +19,7 @@ void ShardEngine::provision_subscriber(UeId ue,
 
 void ShardEngine::attach_ue(UeId ue, std::uint32_t bs, LocalUeId local) {
   sc::WriteLock lock(mu_);
-  if (!store_.profile(ue))
+  if (!store_.has_profile(ue))
     throw std::invalid_argument("attach_ue: unknown subscriber");
   store_.set_location(ue, UeLocation{bs, local});
 }

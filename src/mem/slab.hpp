@@ -202,8 +202,7 @@ class Slab {
   }
 
   // Replicates slot positions, generations and the free list exactly, so
-  // copied handles resolve identically in the copy (ControlStore keeps
-  // replicated SlowStates).
+  // copied handles resolve identically in the copy.
   void copy_from(const Slab& other) {
     chunks_.reserve(other.chunks_.size());
     for (std::size_t c = 0; c < other.chunks_.size(); ++c)

@@ -145,16 +145,6 @@ class SlabMap {
   }
 
  private:
-  template <typename M>
-  [[nodiscard]] static std::size_t flat_map_bytes(const M& m) {
-    // FlatMap keeps a dense entry vector plus a power-of-two u32 index kept
-    // under 3/4 load; capacity() is not exposed, so charge size * 4/3 for
-    // the index and size for the entries (amortized lower bound, within a
-    // growth factor of truth).
-    return m.size() * sizeof(typename M::value_type) +
-           (m.size() * 4 / 3 + 16) * sizeof(std::uint32_t) + sizeof(m);
-  }
-
   bool slab_mode_;
   FlatMap<K, Handle, Hash> index_;  // slab layout: key -> value handle
   Slab<V> slab_;                    // slab layout: values, stable addresses

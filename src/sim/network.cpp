@@ -168,12 +168,17 @@ UeId SoftCellNetwork::add_subscriber(const SubscriberProfile& profile) {
   SubscriberProfile p = profile;
   p.ue = ue;
   cp_.provision_subscriber(ue, p);
-  permanent_ip_.emplace(ue, kPermanentBase + ue.value());
   return ue;
 }
 
+Ipv4Addr SoftCellNetwork::permanent_ip(UeId ue) const {
+  if (ue.value() == 0 || ue.value() >= next_ue_)
+    throw std::out_of_range("SoftCellNetwork: unknown subscriber");
+  return kPermanentBase + ue.value();
+}
+
 void SoftCellNetwork::attach(UeId ue, std::uint32_t bs) {
-  agents_.at(bs)->ue_arrive(ue, permanent_ip_.at(ue));
+  agents_.at(bs)->ue_arrive(ue, permanent_ip(ue));
 }
 
 void SoftCellNetwork::detach(UeId ue) {
@@ -211,7 +216,7 @@ SoftCellNetwork::FlowHandle SoftCellNetwork::open_flow(UeId ue,
     throw std::invalid_argument("open_flow: remote inside the carrier prefix");
   FlowHandle h;
   h.ue = ue;
-  h.key = FlowKey{permanent_ip_.at(ue), remote_ip, next_client_port_++,
+  h.key = FlowKey{permanent_ip(ue), remote_ip, next_client_port_++,
                   dst_port, IpProto::kTcp};
   flows_.emplace(h.key, FlowState{ue, QosClass::kBestEffort, std::nullopt});
   return h;
@@ -293,8 +298,8 @@ SoftCellNetwork::M2mFlowHandle SoftCellNetwork::open_m2m_flow(
   const PolicyTag tag_ba =
       cp_.request_m2m_path(loc_b->bs, loc_a->bs, clause);
 
-  const Ipv4Addr a_perm = permanent_ip_.at(a);
-  const Ipv4Addr b_perm = permanent_ip_.at(b);
+  const Ipv4Addr a_perm = permanent_ip(a);
+  const Ipv4Addr b_perm = permanent_ip(b);
   const Ipv4Addr a_loc = *agents_.at(loc_a->bs)->locip_of(a);
   const Ipv4Addr b_loc = *agents_.at(loc_b->bs)->locip_of(b);
 
@@ -598,7 +603,7 @@ SoftCellNetwork::PublicService SoftCellNetwork::expose_service(
   e.tagged_port = codec_.encode(
       tag, static_cast<std::uint16_t>(service_port %
                                       codec_.max_flows_per_ue()));
-  e.perm_ip = permanent_ip_.at(ue);
+  e.perm_ip = permanent_ip(ue);
   e.service_port = service_port;
   services_[endpoint_key(e.public_ip, e.public_port)] = e;
   services_rev_[endpoint_key(e.locip, e.tagged_port)] = e;

@@ -256,13 +256,15 @@ class SoftCellNetwork {
     Ipv4Addr perm_ip = 0;
     std::uint16_t service_port = 0;
   };
+  // The permanent address add_subscriber() assigned to `ue`; throws
+  // std::out_of_range for an id it never handed out.
+  [[nodiscard]] Ipv4Addr permanent_ip(UeId ue) const;
   static std::uint64_t endpoint_key(Ipv4Addr ip, std::uint16_t port) {
     return (static_cast<std::uint64_t>(ip) << 16) | port;
   }
   std::unordered_map<std::uint64_t, ServiceEntry> services_;      // public side
   std::unordered_map<std::uint64_t, ServiceEntry> services_rev_;  // LocIP side
 
-  std::unordered_map<UeId, Ipv4Addr> permanent_ip_;
   std::unordered_map<FlowKey, FlowState> flows_;
   std::uint32_t next_ue_ = 1;
   std::uint16_t next_client_port_ = 40000;

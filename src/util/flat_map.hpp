@@ -209,6 +209,16 @@ class FlatMap {
   std::vector<std::uint32_t> index_;
 };
 
+// Resident footprint of a FlatMap.  It keeps a dense entry vector plus a
+// power-of-two u32 index kept under 3/4 load; capacity() is not exposed, so
+// charge size * 4/3 for the index and size for the entries (amortized lower
+// bound, within a growth factor of truth).
+template <typename K, typename V, typename Hash>
+[[nodiscard]] std::size_t flat_map_bytes(const FlatMap<K, V, Hash>& m) {
+  return m.size() * sizeof(typename FlatMap<K, V, Hash>::value_type) +
+         (m.size() * 4 / 3 + 16) * sizeof(std::uint32_t) + sizeof(m);
+}
+
 // Set counterpart with the same layout and guarantees.
 template <typename K, typename Hash = std::hash<K>>
 class FlatSet {

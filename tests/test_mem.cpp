@@ -96,7 +96,7 @@ TEST(SlabTest, CopyPreservesHandleResolution) {
   s.erase(a);
   const Slab<int> copy = s;
   // Handles taken from the original resolve identically in the copy,
-  // including staleness (ControlStore replicates SlowStates by copy).
+  // including staleness.
   EXPECT_EQ(copy.get(a), nullptr);
   ASSERT_NE(copy.get(b), nullptr);
   EXPECT_EQ(*copy.get(b), 20);

@@ -53,6 +53,19 @@ TEST_F(E2eTest, StateEmbeddedInSourceHeader) {
   EXPECT_EQ(net_.controller().store().path(clause->id, 3), tag);
 }
 
+TEST_F(E2eTest, PermanentIpIsTheBasePlusTheIssuedId) {
+  constexpr Ipv4Addr kPermanentBase = 0x64400000u;  // 100.64.0.0/10
+  const UeId ue = silver_ue(0);
+  EXPECT_EQ(net_.open_flow(ue, kServer, 80).key.src_ip,
+            kPermanentBase + ue.value());
+  // Only ids add_subscriber() handed out have an address.
+  const UeId unissued(ue.value() + 1);
+  for (const UeId bad : {UeId(0), unissued}) {
+    EXPECT_THROW(net_.open_flow(bad, kServer, 80), std::out_of_range);
+    EXPECT_THROW(net_.attach(bad, 1), std::out_of_range);
+  }
+}
+
 TEST_F(E2eTest, DownlinkReturnsThroughSameMiddleboxesReversed) {
   const UeId ue = silver_ue(5);
   const auto flow = net_.open_flow(ue, kServer, 1935);  // video: fw+transcoder
