@@ -83,11 +83,11 @@ int main(int argc, char** argv) {
 
   const CellularTopology topo = config.make_topology();
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  net::BrainDispatcher dispatcher(bundle.brain());
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clauses),
+      config.shards);
+  provision_wire_ues(*brain, config, topo.num_base_stations());
+  net::BrainDispatcher dispatcher(*brain);
 
   net::EventLoop loop;
   if (!loop.ok()) {

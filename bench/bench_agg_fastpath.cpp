@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/path.hpp"
@@ -210,6 +211,7 @@ int main(int argc, char** argv) {
   if (mismatch) return 1;
 
   telemetry::BenchReport report("agg_fastpath");
+  report.meta_u64("hardware_threads", std::thread::hardware_concurrency());
   report.meta_u64("base_stations", bs_count);
   report.meta_bool("smoke", smoke);
   const auto mode_json = [](telemetry::JsonWriter& w, std::string_view name,

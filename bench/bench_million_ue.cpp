@@ -1,4 +1,4 @@
-// Million-UE resident scale (ROADMAP item 2): replay a scaled Fig.6
+// Million-UE resident scale (DESIGN.md section 15): replay a scaled Fig.6
 // diurnal day that attaches 1,000,000 UEs across a k=8 fabric (1536 base
 // stations), arm a re-arming idle timer per UE on the hierarchical timer
 // wheel, open microflows for a 1/64 slice, and hold everything resident.
@@ -7,16 +7,14 @@
 // churn) and a 1/32 slice rides mid-day handoff storms -- the resident
 // population is worked, not just grown.
 //
-// Reported per storage layout (slab vs SOFTCELL_SLAB=0 node maps):
-//   * control-plane resident bytes/UE (primary store + path maps; the
-//     slab layout targets <= 128),
+// Reported for the one day:
+//   * control-plane resident bytes/UE (primary stores + path maps; target
+//     <= 128),
 //   * agent-side resident bytes/UE (UE records + flow slab),
-//   * end-to-end events/s through the merged heap+wheel clock.
-//
-// Correctness cross-check: the controller state fingerprint must be
-// bit-identical across layouts -- the slab migration is a storage change,
-// not a behavior change.  A mismatch fails the bench (nonzero exit), which
-// is what the tier-1 `scale` stage runs under SOFTCELL_SMOKE=1.
+//   * end-to-end events/s through the merged heap+wheel clock,
+//   * the event count and the control-plane state fingerprint, which the
+//     tier-1 `scale` stage pins to the smoke day's golden values
+//     (SOFTCELL_SMOKE=1).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "mem/slab.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "telemetry/export.hpp"
@@ -50,8 +47,7 @@ struct ScaleParams {
   std::uint32_t storm_stride = 32;
 };
 
-struct LayoutResult {
-  std::string layout;
+struct DayResult {
   std::uint64_t events = 0;
   std::uint64_t timer_fires = 0;
   std::uint64_t flows = 0;
@@ -65,8 +61,8 @@ struct LayoutResult {
 };
 
 // Re-arming idle timer: models periodic bearer/paging refresh without
-// mutating control state (so the cross-layout fingerprint comparison is
-// exactly the attach + flow history).
+// mutating control state (so the fingerprint covers exactly the attach,
+// flow and churn history).
 struct IdleLoop {
   EventQueue* q;
   double period;
@@ -107,11 +103,9 @@ std::vector<double> diurnal_attach_times(const ScaleParams& p) {
   return times;
 }
 
-LayoutResult run_layout(bool slab, const ScaleParams& p,
-                        const std::vector<double>& attach_times) {
-  mem::ScopedSlabLayout layout(slab);
-  LayoutResult out;
-  out.layout = slab ? "slab" : "node";
+DayResult run_day(const ScaleParams& p,
+                  const std::vector<double>& attach_times) {
+  DayResult out;
 
   SoftCellConfig config;
   config.topo = {.k = p.k, .cluster_size = p.cluster_size, .seed = 91};
@@ -186,24 +180,20 @@ LayoutResult run_layout(bool slab, const ScaleParams& p,
           .count();
   out.flows = flows;
 
-  // Mode-independent fingerprint (shard-brain fold-ins included) so the
-  // cross-layout check holds in both brain modes.
   out.fingerprint = net.control_fingerprint();
   const auto fp = net.controller().memory_footprint();
   out.ctrl_bytes = fp.store_primary + fp.path_maps;
-  if (const auto* brain = net.brain()) {
-    // Shard-brain mode: UE locations live on the per-shard stores, not the
-    // core's, so resident control bytes are the shard stores' sum.
-    for (std::size_t s = 0; s < brain->shard_count(); ++s)
-      out.ctrl_bytes += brain->shard(s).store_primary_bytes_resident();
-  }
+  // UE locations live on the brain's per-shard stores, not the core's.
+  const ShardBrain& brain = *net.brain();
+  for (std::size_t s = 0; s < brain.shard_count(); ++s)
+    out.ctrl_bytes += brain.shard(s).store_primary_bytes_resident();
   for (std::uint32_t bs = 0; bs < num_bs; ++bs)
     out.agent_bytes += net.agent(bs).bytes_resident();
 
   std::printf(
-      "  %-4s | %9llu events %.2fs wall (%8.0f ev/s) | %7llu timer fires |"
+      "  %9llu events %.2fs wall (%8.0f ev/s) | %7llu timer fires |"
       " %6llu flows (%llu denied) | churn %llu-%llu | %llu handoffs\n",
-      out.layout.c_str(), static_cast<unsigned long long>(out.events),
+      static_cast<unsigned long long>(out.events),
       out.wall_s, static_cast<double>(out.events) / out.wall_s,
       static_cast<unsigned long long>(out.timer_fires),
       static_cast<unsigned long long>(flows),
@@ -212,7 +202,7 @@ LayoutResult run_layout(bool slab, const ScaleParams& p,
       static_cast<unsigned long long>(out.reattaches),
       static_cast<unsigned long long>(out.handoffs));
   std::printf(
-      "       | ctrl %.1f B/UE (store %llu + paths %llu) | agents %.1f B/UE\n",
+      "  ctrl %.1f B/UE (store %llu + paths %llu) | agents %.1f B/UE\n",
       static_cast<double>(out.ctrl_bytes) / p.num_ues,
       static_cast<unsigned long long>(fp.store_primary),
       static_cast<unsigned long long>(fp.path_maps),
@@ -236,25 +226,18 @@ int main(int argc, char** argv) {
     p.idle_period_s = 600.0;
   }
 
-  std::printf("=== Million-UE resident scale: slab layout vs node maps ===\n");
-  std::printf("(k=%u, %u UEs over a %.0fs diurnal day; SOFTCELL_SLAB hatch"
-              " drives the layout)\n\n",
-              p.k, p.num_ues, p.duration_s);
+  std::printf("=== Million-UE resident scale ===\n");
+  std::printf("(k=%u, %u UEs over a %.0fs diurnal day)\n\n", p.k, p.num_ues,
+              p.duration_s);
 
-  const auto attach_times = diurnal_attach_times(p);
-  const LayoutResult slab = run_layout(true, p, attach_times);
-  const LayoutResult node = run_layout(false, p, attach_times);
+  const DayResult r = run_day(p, diurnal_attach_times(p));
 
-  const bool fingerprints_match = slab.fingerprint == node.fingerprint;
-  const double slab_ctrl_per_ue =
-      static_cast<double>(slab.ctrl_bytes) / p.num_ues;
-  const bool meets_target = slab_ctrl_per_ue <= 128.0;
-  std::printf("\n  fingerprints %s (slab %016llx, node %016llx)\n",
-              fingerprints_match ? "MATCH" : "MISMATCH",
-              static_cast<unsigned long long>(slab.fingerprint),
-              static_cast<unsigned long long>(node.fingerprint));
-  std::printf("  slab control-plane bytes/UE: %.1f (target <= 128: %s)\n",
-              slab_ctrl_per_ue, meets_target ? "met" : "MISSED");
+  const double ctrl_per_ue = static_cast<double>(r.ctrl_bytes) / p.num_ues;
+  const bool meets_target = ctrl_per_ue <= 128.0;
+  std::printf("\n  fingerprint %016llx\n",
+              static_cast<unsigned long long>(r.fingerprint));
+  std::printf("  control-plane bytes/UE: %.1f (target <= 128: %s)\n",
+              ctrl_per_ue, meets_target ? "met" : "MISSED");
 
   telemetry::BenchReport report("million_ue");
   report.meta_u64("hardware_threads", std::thread::hardware_concurrency());
@@ -262,39 +245,29 @@ int main(int argc, char** argv) {
   report.meta_u64("k", p.k);
   report.meta_u64("num_ues", p.num_ues);
   report.meta_num("duration_s", p.duration_s, 0);
-  report.meta_bool("fingerprints_match", fingerprints_match);
-  report.meta_num("slab_ctrl_bytes_per_ue", slab_ctrl_per_ue, 2);
   report.meta_bool("ctrl_bytes_target_met", meets_target);
-  for (const LayoutResult* r : {&slab, &node}) {
-    auto row = report.row();
-    row.begin_object()
-        .str("layout", r->layout)
-        .u64("events", r->events)
-        .u64("timer_fires", r->timer_fires)
-        .u64("flows", r->flows)
-        .u64("detaches", r->detaches)
-        .u64("reattaches", r->reattaches)
-        .u64("handoffs", r->handoffs)
-        .num("wall_s", r->wall_s, 3)
-        .num("events_per_s", static_cast<double>(r->events) / r->wall_s, 0)
-        .u64("ctrl_bytes", r->ctrl_bytes)
-        .num("ctrl_bytes_per_ue",
-             static_cast<double>(r->ctrl_bytes) / p.num_ues, 2)
-        .u64("agent_bytes", r->agent_bytes)
-        .num("agent_bytes_per_ue",
-             static_cast<double>(r->agent_bytes) / p.num_ues, 2)
-        .u64("fingerprint", r->fingerprint)
-        .end_object();
-    report.add_row(std::move(row));
-  }
-  if (!report.write(out_path))
+  auto row = report.row();
+  row.begin_object()
+      .u64("events", r.events)
+      .u64("timer_fires", r.timer_fires)
+      .u64("flows", r.flows)
+      .u64("detaches", r.detaches)
+      .u64("reattaches", r.reattaches)
+      .u64("handoffs", r.handoffs)
+      .num("wall_s", r.wall_s, 3)
+      .num("events_per_s", static_cast<double>(r.events) / r.wall_s, 0)
+      .u64("ctrl_bytes", r.ctrl_bytes)
+      .num("ctrl_bytes_per_ue", ctrl_per_ue, 2)
+      .u64("agent_bytes", r.agent_bytes)
+      .num("agent_bytes_per_ue",
+           static_cast<double>(r.agent_bytes) / p.num_ues, 2)
+      .u64("fingerprint", r.fingerprint)
+      .end_object();
+  report.add_row(std::move(row));
+  if (!report.write(out_path)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-  else
-    std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (!fingerprints_match) {
-    std::fprintf(stderr, "FAIL: cross-layout fingerprint mismatch\n");
     return 1;
   }
+  std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -67,11 +67,11 @@ bool run_row(const WireWorkloadConfig& config, WireRow* row,
   const std::uint64_t reference = run_wire_workload_inprocess(topo, config);
 
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  net::BrainDispatcher dispatcher(bundle.brain());
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clauses),
+      config.shards);
+  provision_wire_ues(*brain, config, topo.num_base_stations());
+  net::BrainDispatcher dispatcher(*brain);
   net::EventLoop loop;
   net::ControllerServer server(loop, dispatcher);
   std::string err;

@@ -38,11 +38,16 @@ int main() {
 
   std::printf("\n--- drill 1: primary controller replica fails ---\n");
   net.fail_controller_primary_and_recover();
+  // UE locations live on the brain's shard stores, not the core's.
+  const ShardBrain& brain = *net.brain();
+  std::size_t rebuilt = 0;
+  for (std::size_t s = 0; s < brain.shard_count(); ++s)
+    rebuilt += brain.shard(s).attached_ues();
   std::printf("replica promoted (replicas left: %zu); locations rebuilt from"
               " %zu agents: %zu UEs\n",
               net.controller().store().replica_count(),
               static_cast<std::size_t>(net.topology().num_base_stations()),
-              net.controller().store().attached_ues());
+              rebuilt);
   std::size_t ok = 0;
   for (auto& [ue, flow] : sessions)
     ok += net.send_uplink(flow).delivered && net.send_downlink(flow).delivered;

@@ -14,10 +14,9 @@
 #   5. telemetry -- an off-mode rebuild (-DSOFTCELL_TELEMETRY=OFF proves
 #      the tree compiles with spans erased) plus the disarmed-overhead
 #      smoke bench with its JSON output validated
-#   5b. scale -- the million-UE bench under SOFTCELL_SMOKE=1: its built-in
-#      cross-layout fingerprint check (slab vs SOFTCELL_SLAB=0 node maps)
-#      is the exit code, the JSON envelope is validated, and each layout's
-#      event count and fingerprint must equal the smoke day's golden values
+#   5b. scale -- the million-UE bench under SOFTCELL_SMOKE=1: it runs the
+#      smoke day once, the JSON envelope is validated, and the day's event
+#      count and state fingerprint must equal their golden values
 #   5c. net -- the TCP serving front end end-to-end: softcell-serverd is
 #      started as a real separate process (--port 0 + --port-file for
 #      race-free discovery), the wire cbench drives it over loopback with
@@ -186,30 +185,28 @@ run_stage "telemetry (overhead smoke)" bash -c \
    python3 -c "import json,sys; d=json.load(open(\"build/bench/SMOKE_telemetry.json\")); sys.exit(0 if d[\"schema\"]==\"softcell-bench-1\" and d[\"results\"][0][\"within_budget\"] else 1)"'
 
 # --- scale stage -------------------------------------------------------------
-# The million-UE bench's smoke shape: both storage layouts replayed, the
-# cross-layout state fingerprints compared (a mismatch is a nonzero exit),
-# the softcell-bench-1 envelope checked for the target verdict fields, and
-# each layout pinned to the smoke day's golden event count and state
-# fingerprint.  Both layouts run the same EventQueue, so a change in
-# scheduling order passes the cross-layout check; the golden values catch
-# it.  A change that means to alter the schedule updates them and says why.
-run_stage "scale (smoke, cross-layout)" bash -c \
+# The million-UE bench's smoke shape: one day, the softcell-bench-1
+# envelope checked for the bytes/UE target verdict, and the day's one row
+# pinned to the golden event count and state fingerprint.  A change that
+# means to alter the schedule or the control state updates them and says
+# why.
+run_stage "scale (smoke, golden)" bash -c \
   'SOFTCELL_SMOKE=1 ./build/bench/bench_million_ue \
      build/bench/SMOKE_scale.json &&
    python3 - build/bench/SMOKE_scale.json <<'"'"'PY'"'"'
 import json, sys
 d = json.load(open(sys.argv[1]))
 golden = {"events": 64447, "fingerprint": 7336266252400236895}
-bad = ["%s %s = %s, golden %s" % (r["layout"], k, r[k], v)
+bad = ["%s = %s, golden %s" % (k, r[k], v)
        for r in d["results"] for k, v in golden.items() if r[k] != v]
-if sorted(r["layout"] for r in d["results"]) != ["node", "slab"]:
-    bad.append("want one slab and one node row")
-if not (d["schema"] == "softcell-bench-1" and d["meta"]["fingerprints_match"]
+if len(d["results"]) != 1:
+    bad.append("want exactly one row, got %d" % len(d["results"]))
+if not (d["schema"] == "softcell-bench-1"
         and d["meta"]["ctrl_bytes_target_met"]):
     bad.append("envelope verdict fields not met")
 if bad:
     sys.exit("FAIL: " + "; ".join(bad))
-print("scale golden: both layouts ran %(events)d events, fingerprint "
+print("scale golden: the day ran %(events)d events, fingerprint "
       "%(fingerprint)d" % golden)
 PY'
 

@@ -69,8 +69,8 @@ struct ControllerOptions {
 // tags the source-port bits reserved for them can carry, so the engine
 // never hands out a tag an access switch cannot embed.  An explicit
 // max_tags is kept.  The serving brain (softcell-serverd, through
-// BrainBundle) and the simulator apply it; the offline Fig. 7 sweeps keep
-// the full 16-bit space.  Past the budget an install throws
+// make_wire_brain) and the simulator apply it; the offline Fig. 7 sweeps
+// keep the full 16-bit space.  Past the budget an install throws
 // AggregationEngine::TagBudgetExhausted, and the request is answered
 // not-ok.
 [[nodiscard]] inline ControllerOptions with_port_tag_budget(
@@ -83,7 +83,7 @@ class Controller : public ControlPlane {
  public:
   Controller(const CellularTopology& topo, ServicePolicy policy,
              ControllerOptions options = {});
-  // Shards of a ShardedController share one immutable policy snapshot.
+  // The brain's core controller shares the brain's policy snapshot.
   Controller(const CellularTopology& topo,
              std::shared_ptr<const ServicePolicy> policy,
              ControllerOptions options = {});
@@ -253,9 +253,9 @@ class Controller : public ControlPlane {
   // The fold-in parameters exist for the shard-brain partition (DESIGN.md
   // section 16): there the per-UE store writes and attachments live on the
   // ShardEngines' stores, not this controller's, so the brain passes their
-  // sums and the fingerprint comes out bit-identical to the legacy
-  // single-brain run (whose one store saw every write).  Default arguments
-  // keep the legacy meaning for every existing caller.
+  // sums and the fingerprint comes out bit-identical to a single Controller
+  // that served the same history (whose one store saw every write).  The
+  // default arguments give that single Controller's own fingerprint.
   [[nodiscard]] std::uint64_t state_fingerprint(
       std::uint64_t fold_store_writes = 0,
       std::uint64_t fold_attached = 0) const SC_EXCLUDES(mu_);

@@ -47,7 +47,7 @@ std::vector<PacketClassifier> ShardEngine::fetch_classifiers(
   if (!profile)
     throw std::invalid_argument("fetch_classifiers: unknown subscriber");
 
-  // Byte-for-byte the legacy compilation (Controller::fetch_classifiers),
+  // Byte-for-byte Controller::fetch_classifiers's compilation,
   // except the tag comes from the committer's slots instead of the store's
   // path map -- the two are definitionally equal (both written only by the
   // install/migrate/recompact paths, and the committer stores the slots

@@ -1,6 +1,6 @@
 // ShardEngine: the per-shard half of the partitioned controller brain.
 //
-// The legacy Controller owns two kinds of state with very different
+// A single Controller owns two kinds of state with very different
 // sharing behaviour:
 //   * per-UE state -- subscriber profiles, locations, and the classifiers
 //     compiled from them.  Requests for a UE always arrive on its owning
@@ -39,7 +39,7 @@ class ShardEngine {
   ShardEngine(std::shared_ptr<const ServicePolicy> policy,
               std::size_t store_replicas);
 
-  // --- per-UE state (mirrors the legacy Controller entry points) ------------
+  // --- per-UE state (mirrors the Controller entry points) -------------------
   void provision_subscriber(UeId ue, const SubscriberProfile& profile)
       SC_EXCLUDES(mu_);
   void attach_ue(UeId ue, std::uint32_t bs, LocalUeId local)
@@ -61,7 +61,7 @@ class ShardEngine {
   void set_policy(std::shared_ptr<const ServicePolicy> policy)
       SC_EXCLUDES(mu_);
 
-  // --- failover (per-shard slice of the legacy store protocol) --------------
+  // --- failover (per-shard slice of the Controller's store protocol) -------
   void fail_primary_replica() SC_EXCLUDES(mu_);
   void rebuild_locations(
       const std::function<void(
@@ -71,13 +71,13 @@ class ShardEngine {
   // --- fingerprint fold-ins (see Controller::state_fingerprint) -------------
   // Slow-state writes this shard's store absorbed (== the store's replica
   // version; location changes are fast state and do not count, exactly as
-  // in the legacy store).
+  // in a single Controller's store).
   [[nodiscard]] std::uint64_t store_writes() const SC_EXCLUDES(mu_);
   [[nodiscard]] std::uint64_t attached_ues() const SC_EXCLUDES(mu_);
   [[nodiscard]] std::uint64_t store_bytes_resident() const SC_EXCLUDES(mu_);
   // Primary-replica bytes only (locations + primary slow state), the same
   // accounting Controller::memory_footprint().store_primary uses, so the
-  // scale bench's bytes/UE stays comparable across brain modes.
+  // scale bench's bytes/UE stays comparable with a single Controller's.
   [[nodiscard]] std::uint64_t store_primary_bytes_resident() const
       SC_EXCLUDES(mu_);
 

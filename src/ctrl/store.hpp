@@ -20,7 +20,7 @@
 // replica's handle equals the row handle; each insert checks this and
 // throws std::logic_error on a mismatch.  The fast/slow split lives in what
 // survives fail_primary(): the surviving replicas' slabs do, the location
-// column does not.  The store is slab-only; SOFTCELL_SLAB does not reach it.
+// column does not.
 //
 // Thread safety: ControlStore is NOT internally synchronized.  It is owned
 // by exactly one Controller (one shard of the runtime) and every access

@@ -16,7 +16,7 @@
 
 #include "ctrl/control_plane.hpp"
 #include "ofp/codec.hpp"
-#include "runtime/control_brain.hpp"
+#include "runtime/shard_brain.hpp"
 
 namespace softcell::net {
 
@@ -29,7 +29,7 @@ class Dispatcher {
   virtual ofp::PacketInReply dispatch(const ofp::PacketInMsg& msg) = 0;
 
   // Interleaving-independent fingerprint of the controller state (the
-  // canonical recompact-then-fingerprint; see runtime/control_brain.hpp).
+  // canonical recompact-then-fingerprint; see runtime/shard_brain.hpp).
   // Callers quiesce first: the server answers a stats request only after
   // the client has collected every outstanding reply.
   [[nodiscard]] virtual std::uint64_t fingerprint() = 0;
@@ -47,7 +47,7 @@ class Dispatcher {
 // that throws is answered ok = false.
 class BrainDispatcher final : public Dispatcher {
  public:
-  explicit BrainDispatcher(ControlBrain& brain) : brain_(brain) {}
+  explicit BrainDispatcher(ShardBrain& brain) : brain_(brain) {}
 
   ofp::PacketInReply dispatch(const ofp::PacketInMsg& msg) override;
   [[nodiscard]] std::uint64_t fingerprint() override {
@@ -55,7 +55,7 @@ class BrainDispatcher final : public Dispatcher {
   }
 
  private:
-  ControlBrain& brain_;
+  ShardBrain& brain_;
 };
 
 }  // namespace softcell::net

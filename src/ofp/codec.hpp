@@ -164,6 +164,9 @@ class FrameAssembler {
 
   // Convenience: append a fragment (one extra copy vs writable/commit).
   void feed(std::span<const std::uint8_t> bytes) {
+    // An empty feed may find no buffer yet, and memcpy's pointers must be
+    // non-null even for zero bytes.
+    if (bytes.empty()) return;
     auto dst = writable(bytes.size());
     std::memcpy(dst.data(), bytes.data(), bytes.size());
     commit(bytes.size());
@@ -314,7 +317,7 @@ inline void encode_packet_in_reply_into(std::vector<std::uint8_t>& out,
 // fingerprint plus the serving counters the client cross-checks.
 struct ServerStatsMsg {
   std::uint32_t xid = 0;
-  std::uint64_t fingerprint = 0;  // ControlBrain::canonical_fingerprint()
+  std::uint64_t fingerprint = 0;  // ShardBrain::canonical_fingerprint()
   std::uint64_t packet_ins = 0;   // decoded packet-in frames, lifetime
   std::uint64_t replies = 0;      // packet-in replies queued
   std::uint64_t drops = 0;        // slow-client backpressure drops

@@ -7,11 +7,11 @@
 
 namespace softcell {
 
-ControlPlaneRuntime::ControlPlaneRuntime(ControlBrain& controller,
+ControlPlaneRuntime::ControlPlaneRuntime(ShardBrain& brain,
                                          RuntimeOptions options)
-    : controller_(controller), options_(options) {
-  pending_.reserve(controller_.shard_count());
-  for (std::size_t i = 0; i < controller_.shard_count(); ++i)
+    : brain_(brain), options_(options) {
+  pending_.reserve(brain_.shard_count());
+  for (std::size_t i = 0; i < brain_.shard_count(); ++i)
     pending_.push_back(std::make_unique<ShardPending>());
   ThreadPoolOptions pool_options;
   pool_options.workers = options_.workers;
@@ -35,7 +35,7 @@ void ControlPlaneRuntime::start() { pool_->start(); }
 
 bool ControlPlaneRuntime::post(Request request) {
   Job job;
-  job.shard = controller_.shard_of(request.ue);
+  job.shard = brain_.shard_of(request.ue);
   job.submitted = Clock::now();
   // Inherit the poster's causal chain so the worker-side spans stitch onto
   // the span that crossed the queue (e.g. the LocalAgent classifier miss).
@@ -54,7 +54,7 @@ bool ControlPlaneRuntime::post(Request request) {
       // answer us with the same tag it answers the primary request.
       it->second.push_back(Waiter{std::move(request.done), job.submitted});
       in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      controller_.metrics(job.shard).count_coalesced();
+      brain_.metrics(job.shard).count_coalesced();
       return true;
     }
     pending.waiting.emplace(key, std::vector<Waiter>{});
@@ -87,7 +87,7 @@ void ControlPlaneRuntime::finish(std::size_t shard,
   const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
                          Clock::now() - submitted)
                          .count();
-  auto& metrics = controller_.metrics(shard);
+  auto& metrics = brain_.metrics(shard);
   metrics.record_latency(static_cast<std::uint64_t>(nanos));
   if (!response.ok) metrics.count_error();
   if (done) done(std::move(response));
@@ -109,22 +109,22 @@ void ControlPlaneRuntime::execute(unsigned, Job& job) {
   try {
     switch (r.kind) {
       case RequestKind::kProvision:
-        controller_.provision_subscriber(r.ue, r.profile);
+        brain_.provision_subscriber(r.ue, r.profile);
         break;
       case RequestKind::kAttach:
-        controller_.attach_ue(r.ue, r.bs, r.local);
+        brain_.attach_ue(r.ue, r.bs, r.local);
         break;
       case RequestKind::kDetach:
-        controller_.detach_ue(r.ue);
+        brain_.detach_ue(r.ue);
         break;
       case RequestKind::kUpdateLocation:
-        controller_.update_location(r.ue, r.bs, r.local);
+        brain_.update_location(r.ue, r.bs, r.local);
         break;
       case RequestKind::kFetchClassifiers:
-        response.classifiers = controller_.fetch_classifiers(r.ue, r.bs);
+        response.classifiers = brain_.fetch_classifiers(r.ue, r.bs);
         break;
       case RequestKind::kPolicyPath:
-        response.tag = controller_.request_policy_path(r.ue, r.bs, r.clause);
+        response.tag = brain_.request_policy_path(r.ue, r.bs, r.clause);
         break;
     }
   } catch (const std::exception& e) {

@@ -36,8 +36,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/control_brain.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/shard_brain.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/annotations.hpp"
 
@@ -90,10 +90,9 @@ struct RuntimeOptions {
 
 class ControlPlaneRuntime {
  public:
-  // The runtime pipelines over any brain implementation: the legacy
-  // per-shard-clone ShardedController or the partitioned ShardBrain
-  // (shard-local engines + single-writer commit stage).
-  ControlPlaneRuntime(ControlBrain& controller, RuntimeOptions options = {});
+  // Pipelines requests over the brain's shards (shard-local engines +
+  // single-writer commit stage).
+  ControlPlaneRuntime(ShardBrain& brain, RuntimeOptions options = {});
   ~ControlPlaneRuntime();
 
   ControlPlaneRuntime(const ControlPlaneRuntime&) = delete;
@@ -119,10 +118,9 @@ class ControlPlaneRuntime {
   [[nodiscard]] unsigned worker_of(std::size_t shard) const {
     return static_cast<unsigned>(shard % pool_->worker_count());
   }
-  [[nodiscard]] ControlBrain& controller() { return controller_; }
   // Aggregated shard metrics (counts, coalescing, latency percentiles).
   [[nodiscard]] MetricsSnapshot metrics() const {
-    return controller_.aggregate_metrics();
+    return brain_.aggregate_metrics();
   }
 
  private:
@@ -155,7 +153,7 @@ class ControlPlaneRuntime {
               std::function<void(Response&&)>& done, Response&& response);
   void complete_one();
 
-  ControlBrain& controller_;
+  ShardBrain& brain_;
   RuntimeOptions options_;
   std::vector<std::unique_ptr<ShardPending>> pending_;
   std::unique_ptr<ThreadPool<Job>> pool_;

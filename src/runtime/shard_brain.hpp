@@ -1,16 +1,14 @@
 // ShardBrain: the partitioned controller brain (DESIGN.md section 16).
 //
-// The legacy runtime scaled by cloning the whole Controller per shard --
-// N disjoint rule universes, fine for control-plane throughput but not a
-// model of one network: the paper's architecture has ONE set of core and
-// gateway switches whose tables every flow shares (Fig. 4's port
-// embedding splits state between BS-local and core switches, not between
-// controller clones).  ShardBrain keeps that single rule universe while
-// still letting N shards proceed in parallel:
+// The paper's architecture has ONE set of core and gateway switches whose
+// tables every flow shares (Fig. 4's port embedding splits state between
+// BS-local and core switches, not between controller instances).
+// ShardBrain keeps that single rule universe while still letting N shards
+// proceed in parallel:
 //
 //   * per-UE state (profiles, locations, classifier compilation) lives on
-//     the UE's ShardEngine -- shard(ue) = splitmix64(ue) % N, same routing
-//     as the legacy ShardedController, no cross-shard locks;
+//     the UE's ShardEngine -- shard(ue) = splitmix64(ue) % N, no
+//     cross-shard locks;
 //   * shared core state (policy paths, m2m half-paths, the tag namespace
 //     and the core/gateway switch rows) lives on ONE core Controller owned
 //     by the CoreCommitter, which serializes cross-shard installs through
@@ -20,13 +18,11 @@
 //   * the read path (fetch_classifiers) never touches the core lock: it
 //     loads the slots and compiles against the shard's own store.
 //
-// Mode selection: the brain is the default; SOFTCELL_SHARD_BRAIN=0 falls
-// back to the legacy per-shard-clone ShardedController (same convention
-// as SOFTCELL_SLAB / SOFTCELL_FASTPATH).  The two modes are
-// fingerprint-identical by construction -- state_fingerprint() folds the
-// shard stores' write counts and attachments into the core fingerprint so
-// it comes out bit-equal to a legacy single-brain run; the shardbrain
-// differential test corpus asserts this across randomized chaos schedules.
+// state_fingerprint() folds the shard stores' write counts and attachments
+// into the core fingerprint, so it comes out bit-equal to a single
+// Controller that served the same request history; tests/test_shard_brain.cpp
+// checks this over seeded random histories, and the golden chaos digests
+// pin the end-to-end behaviour.
 #pragma once
 
 #include <atomic>
@@ -39,47 +35,26 @@
 #include "ctrl/control_plane.hpp"
 #include "ctrl/core_committer.hpp"
 #include "ctrl/shard_engine.hpp"
-#include "runtime/control_brain.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/snapshot.hpp"
 #include "telemetry/registry.hpp"
 
 namespace softcell {
 
-// True unless SOFTCELL_SHARD_BRAIN=0 (exactly "0"): partitioned brain on
-// by default, legacy per-shard-clone controller on opt-out.
-[[nodiscard]] bool shard_brain_enabled();
-
-// Scoped override for tests that pin one mode (differential corpus runs
-// the same schedule under both).  Restores the previous mode on exit.
-class ScopedBrainMode {
- public:
-  explicit ScopedBrainMode(bool enabled);
-  ~ScopedBrainMode();
-
-  ScopedBrainMode(const ScopedBrainMode&) = delete;
-  ScopedBrainMode& operator=(const ScopedBrainMode&) = delete;
-
- private:
-  bool previous_;
-};
-
 struct ShardBrainOptions {
   std::size_t shards = 4;
   ControllerOptions controller;
 };
 
-class ShardBrain final : public ControlPlane, public ControlBrain {
+class ShardBrain final : public ControlPlane {
  public:
   ShardBrain(const CellularTopology& topo, ServicePolicy policy,
              ShardBrainOptions options = {});
 
-  [[nodiscard]] std::size_t shard_count() const override {
-    return shards_.size();
-  }
-  [[nodiscard]] std::size_t shard_of(UeId ue) const override;
+  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  [[nodiscard]] std::size_t shard_of(UeId ue) const;
 
-  // --- UE-keyed request API (ControlPlane + ControlBrain) -------------------
+  // --- UE-keyed request API (routes to the owning shard) --------------------
   void provision_subscriber(UeId ue, const SubscriberProfile& profile)
       override;
   void attach_ue(UeId ue, std::uint32_t bs, LocalUeId local) override;
@@ -93,12 +68,13 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   // slot load, no commit, no core lock) and fall through to the commit
   // stage on miss.  m2m half-paths check the core's own map under its
   // reader lock.
-  PolicyTag request_policy_path(UeId ue, std::uint32_t bs,
-                                ClauseId clause) override;
+  PolicyTag request_policy_path(UeId ue, std::uint32_t bs, ClauseId clause);
+  // Batched variant: all requests go to the commit stage in one submission
+  // (see Controller::request_policy_paths).  Returns tags in request order.
   std::vector<PolicyTag> request_policy_paths(
-      UeId ue, std::span<const Controller::PathRequest> requests) override;
+      UeId ue, std::span<const Controller::PathRequest> requests);
   PolicyTag request_m2m_path(UeId src_ue, std::uint32_t src_bs,
-                             std::uint32_t dst_bs, ClauseId clause) override;
+                             std::uint32_t dst_bs, ClauseId clause);
 
   // --- UE-less ControlPlane surface (simulation agents) ---------------------
   PolicyTag request_policy_path(std::uint32_t bs, ClauseId clause) override;
@@ -107,34 +83,43 @@ class ShardBrain final : public ControlPlane, public ControlBrain {
   [[nodiscard]] std::vector<NodeId> select_instances(
       std::uint32_t bs, ClauseId clause) const override;
 
-  // --- policy snapshot (RCU swap, mirrors ShardedController) ----------------
+  // --- policy snapshot (RCU swap; never stalls the request path) ------------
   [[nodiscard]] std::shared_ptr<const ServicePolicy> policy_snapshot() const {
     return policy_.load();
   }
   [[nodiscard]] std::uint64_t policy_version() const {
     return policy_.version();
   }
+  // Publishes `next` to the core and every shard and returns the new
+  // version.  Existing ClauseIds must stay stable (see
+  // Controller::set_policy).
   std::uint64_t update_policy(ServicePolicy next);
 
-  // --- failover (quiescent; same protocol as the legacy controller) ---------
+  // --- failover (quiescent; same protocol as a single Controller) -----------
   void fail_primary_replica();
   void rebuild_locations(
       const std::function<void(
           const std::function<void(UeId, UeLocation)>&)>& query);
 
   // --- metrics --------------------------------------------------------------
-  [[nodiscard]] ShardMetrics& metrics(std::size_t shard) override {
+  [[nodiscard]] ShardMetrics& metrics(std::size_t shard) {
     return metrics_[shard];
   }
-  [[nodiscard]] const ShardMetrics& metrics(std::size_t shard) const override {
+  [[nodiscard]] const ShardMetrics& metrics(std::size_t shard) const {
     return metrics_[shard];
   }
-  [[nodiscard]] MetricsSnapshot aggregate_metrics() const override;
+  [[nodiscard]] MetricsSnapshot aggregate_metrics() const;
 
-  // Bit-identical to the legacy single-brain fingerprint over the same
-  // request history (see the header comment and DESIGN.md section 16).
-  [[nodiscard]] std::uint64_t state_fingerprint() const override;
-  [[nodiscard]] std::uint64_t canonical_fingerprint() override;
+  // Bit-identical to the fingerprint of a single Controller that served the
+  // same request history (see the header comment and DESIGN.md section 16).
+  // Sensitive to the exact tag assignment, which under concurrent
+  // cross-shard commits depends on arrival order.
+  [[nodiscard]] std::uint64_t state_fingerprint() const;
+  // Interleaving-independent variant: recompacts the rule universe (fresh
+  // clause-major rebuild of the exact same installed key set) and then
+  // fingerprints.  Two runs that installed the same key set -- regardless
+  // of worker count or commit arrival order -- hash identically.
+  [[nodiscard]] std::uint64_t canonical_fingerprint();
 
   // --- introspection --------------------------------------------------------
   // The shared core controller (rule universe).  Same quiescence contract

@@ -168,17 +168,15 @@ AgentBenchResult bench_agent_flows(const AgentBenchConfig& config) {
 
 RuntimeBenchResult bench_runtime_pipeline(const CellularTopology& topo,
                                           const RuntimeBenchConfig& config) {
-  // Provider-based policy (one clause per provider) and the brain-mode
-  // selection both come from the shared wire-workload builder, so this
-  // bench, the in-process reference run and softcell-serverd agree on the
-  // controller they measure (SOFTCELL_SHARD_BRAIN=0 selects the legacy
-  // per-shard-clone controller in all of them).
+  // Provider-based policy (one clause per provider) and the brain both come
+  // from the shared wire-workload builders, so this bench, the in-process
+  // reference run and softcell-serverd agree on the controller they
+  // measure.
   std::vector<ClauseId> clause_ids;
   clause_ids.reserve(config.num_clauses);
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clause_ids),
-                     config.shards);
-  ControlBrain& controller = bundle.brain();
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clause_ids),
+      config.shards);
 
   // Provision and attach the subscriber base outside the timed region (UE
   // arrival is a different event class than flow handling).
@@ -190,15 +188,14 @@ RuntimeBenchResult bench_runtime_pipeline(const CellularTopology& topo,
     SubscriberProfile p;
     p.ue = ue;
     p.provider = 100 + static_cast<std::uint32_t>(i % config.num_clauses);
-    controller.provision_subscriber(ue, p);
+    brain->provision_subscriber(ue, p);
     const auto bs =
         static_cast<std::uint32_t>((i / config.ues_per_agent) % num_bs);
-    controller.attach_ue(ue, bs,
-                         LocalUeId(static_cast<std::uint16_t>(i & 0xFFFF)));
+    brain->attach_ue(ue, bs, LocalUeId(static_cast<std::uint16_t>(i & 0xFFFF)));
   }
 
   ControlPlaneRuntime runtime(
-      controller, {.workers = config.workers, .queue_capacity = 8192});
+      *brain, {.workers = config.workers, .queue_capacity = 8192});
 
   // Single dispatcher thread = deterministic per-shard request order (the
   // ThreadPool ring guarantee); worker count only changes who executes.
@@ -229,10 +226,9 @@ RuntimeBenchResult bench_runtime_pipeline(const CellularTopology& topo,
   result.total = MicroBenchResult{config.requests, seconds};
   result.metrics = runtime.metrics();
   // Canonical (recompact-then-fingerprint) so the value is independent of
-  // the commit interleaving at the shard brain's single core: worker
-  // counts and modes land on the same final rule universe, so the bench's
-  // determinism cross-check stays meaningful in both modes.
-  result.fingerprint = controller.canonical_fingerprint();
+  // the commit interleaving at the brain's single core: every worker count
+  // lands on the same final rule universe.
+  result.fingerprint = brain->canonical_fingerprint();
   return result;
 }
 

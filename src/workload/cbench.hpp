@@ -15,7 +15,6 @@
 #include "agent/local_agent.hpp"
 #include "ctrl/controller.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/sharded_controller.hpp"
 
 namespace softcell {
 
@@ -77,8 +76,7 @@ struct RuntimeBenchResult {
   MicroBenchResult total;
   MetricsSnapshot metrics;       // per-shard counters + latency histogram
   // Canonical (recompact-then-fingerprint) final control state: identical
-  // across worker counts AND across brain modes (shard brain vs legacy
-  // clones), so it doubles as the cross-mode determinism oracle.
+  // across worker counts, so it doubles as the determinism oracle.
   std::uint64_t fingerprint = 0;
 };
 RuntimeBenchResult bench_runtime_pipeline(const CellularTopology& topo,

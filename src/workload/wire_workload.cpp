@@ -25,28 +25,16 @@ ServicePolicy make_wire_policy(const CellularTopology& topo,
   return policy;
 }
 
-BrainBundle::BrainBundle(const CellularTopology& topo, ServicePolicy policy,
-                         std::size_t shards) {
-  // Served tags travel in the Fig. 4 source-port bits: a path request past
-  // that budget is answered not-ok instead of with a tag no access switch
-  // could embed.
-  const ControllerOptions controller = with_port_tag_budget({});
-  if (shard_brain_enabled()) {
-    shard_ = std::make_unique<ShardBrain>(
-        topo, std::move(policy),
-        ShardBrainOptions{.shards = shards, .controller = controller});
-    brain_ = shard_.get();
-  } else {
-    ShardedControllerOptions shard_opts;
-    shard_opts.shards = shards;
-    shard_opts.controller = controller;
-    legacy_ = std::make_unique<ShardedController>(topo, std::move(policy),
-                                                  shard_opts);
-    brain_ = legacy_.get();
-  }
+std::unique_ptr<ShardBrain> make_wire_brain(const CellularTopology& topo,
+                                            ServicePolicy policy,
+                                            std::size_t shards) {
+  return std::make_unique<ShardBrain>(
+      topo, std::move(policy),
+      ShardBrainOptions{.shards = shards,
+                        .controller = with_port_tag_budget({})});
 }
 
-void provision_wire_ues(ControlBrain& brain, const WireWorkloadConfig& config,
+void provision_wire_ues(ShardBrain& brain, const WireWorkloadConfig& config,
                         std::uint32_t num_bs) {
   const std::uint64_t total = config.total_ues();
   for (std::uint64_t i = 0; i < total; ++i) {
@@ -92,12 +80,12 @@ ofp::PacketInMsg WireRequestGen::next() {
 std::uint64_t run_wire_workload_inprocess(const CellularTopology& topo,
                                           const WireWorkloadConfig& config) {
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clauses),
+      config.shards);
   const std::uint32_t num_bs = topo.num_base_stations();
-  provision_wire_ues(bundle.brain(), config, num_bs);
-  net::BrainDispatcher dispatcher(bundle.brain());
+  provision_wire_ues(*brain, config, num_bs);
+  net::BrainDispatcher dispatcher(*brain);
 
   // The same per-connection streams the wire client sends, dispatched
   // through the same boundary; the replies are dropped because the

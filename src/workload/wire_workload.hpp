@@ -9,7 +9,7 @@
 // install the same (bs, clause) key set, so their canonical controller
 // fingerprints must match even though TCP delivers the wire requests in a
 // nondeterministic interleaving (canonical_fingerprint is
-// interleaving-independent; runtime/control_brain.hpp).
+// interleaving-independent; runtime/shard_brain.hpp).
 //
 // The request generator is sequential per connection: connection c's i-th
 // request depends only on (seed, c, i), never on timing or on other
@@ -24,7 +24,6 @@
 #include "net/dispatch.hpp"
 #include "ofp/codec.hpp"
 #include "runtime/shard_brain.hpp"
-#include "runtime/sharded_controller.hpp"
 #include "topo/cellular.hpp"
 #include "util/rng.hpp"
 
@@ -56,27 +55,16 @@ struct WireWorkloadConfig {
                                              std::uint32_t num_clauses,
                                              std::vector<ClauseId>* ids);
 
-// Brain-mode selection (partitioned ShardBrain by default, the legacy
-// per-shard-clone controller under SOFTCELL_SHARD_BRAIN=0), extracted from
-// bench_runtime_pipeline so the serving paths and the benches agree on it.
-// Either brain allocates tags within the Fig. 4 port budget
-// (with_port_tag_budget).
-class BrainBundle {
- public:
-  BrainBundle(const CellularTopology& topo, ServicePolicy policy,
-              std::size_t shards);
-
-  [[nodiscard]] ControlBrain& brain() { return *brain_; }
-
- private:
-  std::unique_ptr<ShardBrain> shard_;
-  std::unique_ptr<ShardedController> legacy_;
-  ControlBrain* brain_ = nullptr;
-};
+// The brain every wire harness serves from: `shards` shards that allocate
+// tags within the Fig. 4 port budget (with_port_tag_budget), so a path
+// request past that budget is answered not-ok instead of with a tag no
+// access switch could embed.
+[[nodiscard]] std::unique_ptr<ShardBrain> make_wire_brain(
+    const CellularTopology& topo, ServicePolicy policy, std::size_t shards);
 
 // Provisions + attaches the deterministic subscriber base the request
 // streams reference (outside any timed region).
-void provision_wire_ues(ControlBrain& brain, const WireWorkloadConfig& config,
+void provision_wire_ues(ShardBrain& brain, const WireWorkloadConfig& config,
                         std::uint32_t num_bs);
 
 // Connection c's deterministic request stream; next() yields the i-th

@@ -418,11 +418,11 @@ TEST(NetServer, WireRunMatchesInProcessFingerprintThenDrains) {
   const std::uint64_t reference = run_wire_workload_inprocess(topo, config);
 
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  net::BrainDispatcher dispatcher(bundle.brain());
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clauses),
+      config.shards);
+  provision_wire_ues(*brain, config, topo.num_base_stations());
+  net::BrainDispatcher dispatcher(*brain);
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
 
@@ -463,11 +463,11 @@ TEST(NetServer, PathRequestsPastThePortTagBudgetAreRejected) {
   config.shards = 4;
   const CellularTopology topo = config.make_topology();
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  net::BrainDispatcher dispatcher(bundle.brain());
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clauses),
+      config.shards);
+  provision_wire_ues(*brain, config, topo.num_base_stations());
+  net::BrainDispatcher dispatcher(*brain);
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
   net::WireConn conn;
@@ -514,11 +514,11 @@ TEST(NetServer, OneReadBurstIsAnsweredWithOneFlush) {
   config.shards = 4;
   const CellularTopology topo = config.make_topology();
   std::vector<ClauseId> clauses;
-  BrainBundle bundle(topo,
-                     make_wire_policy(topo, config.num_clauses, &clauses),
-                     config.shards);
-  provision_wire_ues(bundle.brain(), config, topo.num_base_stations());
-  net::BrainDispatcher dispatcher(bundle.brain());
+  const auto brain = make_wire_brain(
+      topo, make_wire_policy(topo, config.num_clauses, &clauses),
+      config.shards);
+  provision_wire_ues(*brain, config, topo.num_base_stations());
+  net::BrainDispatcher dispatcher(*brain);
   ServerHarness h(dispatcher);
   ASSERT_TRUE(h.ok());
   net::WireConn conn;
@@ -551,7 +551,7 @@ TEST(NetServer, OneReadBurstIsAnsweredWithOneFlush) {
     EXPECT_TRUE(reply->ok);
     // A warm request for the same key returns the tag the burst installed.
     EXPECT_EQ(reply->tag,
-              bundle.brain().request_policy_path(msg.ue, msg.bs, msg.clause))
+              brain->request_policy_path(msg.ue, msg.bs, msg.clause))
         << "xid " << msg.xid;
   }
   EXPECT_EQ(h.stats().reply_batches.load() - batches_before, 1u);

@@ -1,9 +1,9 @@
 // Fixture: node-map-hotpath must fire.  Per-UE / per-flow resident state
-// declared as node-based std:: maps in "agent" code, without the file-wide
-// slab-owner marker that the legacy-layout owners carry (the marker itself
-// cannot be spelled here: the raw-text scan would exempt this file) --
-// exactly the regression class that re-grows the million-UE footprint
-// (DESIGN.md section 15: per-node allocation overhead dominates at scale).
+// declared as node-based std:: maps in "agent" code -- exactly the
+// regression class that re-grows the million-UE footprint (DESIGN.md
+// section 15: per-node allocation overhead dominates at scale).  The rule
+// has no exemption marker; the old one below must exempt nothing:
+// sc-lint: slab-owner(BadUeDirectory)
 // The file never compiles as part of the build; the lint test feeds it to
 // softcell_lint.py and asserts the findings.  The rule scopes by path
 // segment, so the fixture keeps "agent" in its file name.

@@ -1,11 +1,8 @@
 // Lint fixture: every file-wide owner marker here is stale -- the file
 // carries the exemptions but none of the code they justified remains, so
 // each marker must be reported (one stale finding per marker line).
-// The "agent_" prefix keeps the file inside the node-map hot-dir scope so
-// the slab-owner marker is audited at all.
 // sc-lint: metrics-owner(AggPerf) -- BAD: no perf counter is mutated here
 // sc-lint: commit-owner(Controller) -- BAD: no engine install/remove here
-#include <unordered_map>  // sc-lint: slab-owner(legacy) -- BAD: no node map
 
 namespace softcell {
 

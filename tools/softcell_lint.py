@@ -52,9 +52,8 @@ section 12, "Static guarantees"):
                     else (stack, new, make_unique/make_shared) bypasses the
                     fleet's partition-ownership leases -- two Controllers
                     over the same topology silently double-own every UE.
-                    References, pointers and the Controller* derived types
-                    (ShardedController, ControllerOptions, ControllerFleet)
-                    stay free.
+                    References, pointers and the Controller-prefixed types
+                    (ControllerOptions, ControllerFleet) stay free.
 
   cross-shard-direct
                     Core switch-table rows are mutated (engine install /
@@ -75,10 +74,8 @@ section 12, "Static guarantees"):
                     live in the slab layout (Slab/SlabMap/FlatMap), not in
                     node-based std::unordered_map / std::map -- at a
                     million resident UEs the per-node allocation overhead
-                    dominates the footprint (DESIGN.md section 15).  The
-                    files that deliberately keep the legacy layout behind
-                    the SOFTCELL_SLAB=0 hatch carry a file-wide
-                    `// sc-lint: slab-owner(...)` marker.
+                    dominates the footprint (DESIGN.md section 15).  No
+                    file is exempt.
 
   raw-socket        Socket and epoll syscalls (::socket, ::send, ::recv,
                     ::epoll_*, ...) and their system headers live only
@@ -379,10 +376,9 @@ def check_metrics_direct(path: str, raw_lines: list[str],
 # or hands the topology to a fleet) and src/cluster/ (ControllerFleet builds
 # its replicas).  Everyone else must accept a ControlPlane& / Controller&.
 #
-# Three construction spellings, each anchored so the Controller-prefixed and
-# Controller-suffixed types (ControllerFleet, ControllerOptions,
-# ShardedController) and mere references (Controller&, Controller*) never
-# match:
+# Three construction spellings, each anchored so the Controller-prefixed
+# types (ControllerFleet, ControllerOptions) and mere references
+# (Controller&, Controller*) never match:
 #   * heap:   new Controller(...)            / new Controller{...}
 #   * smart:  make_unique<Controller>(...)   / make_shared<Controller>(...)
 #   * stack:  Controller name(...)           / Controller name{...}
@@ -451,12 +447,9 @@ def check_cross_shard_direct(path: str, raw_lines: list[str],
 # The slab migration (DESIGN.md section 15) moved per-UE / per-flow resident
 # state out of node-based maps; this rule keeps it out.  Scope is the hot
 # directories by path segment (mirroring epoch-bump's substring convention so
-# the fixture can carry the segment in its file name).  Files that own the
-# legacy SOFTCELL_SLAB=0 layout declare it with a file-wide
-# `// sc-lint: slab-owner(...)` marker (a comment, parsed from raw text),
-# exactly the metrics-owner exemption shape.
+# the fixture can carry the segment in its file name).  There is no owner
+# marker: every such node map is reported.
 
-_SLAB_OWNER = re.compile(r"sc-lint:\s*slab-owner\([^)]*\)")
 _NODE_MAP_HOTPATH = re.compile(
     r"\bstd::(?:unordered_(?:multi)?map|multimap|map)\s*<\s*"
     r"(?:\w+::)*(?:LocalUeId|UeId|FlowKey|PublicEndpoint)\s*[,>]"
@@ -464,8 +457,7 @@ _NODE_MAP_HOTPATH = re.compile(
 _NODE_MAP_DIRS = ("agent", "ctrl", "dataplane", "packet")
 
 
-def check_node_map_hotpath(path: str, raw_lines: list[str],
-                           stripped: list[str]) -> list[Finding]:
+def check_node_map_hotpath(path: str, stripped: list[str]) -> list[Finding]:
     if not any(d in path for d in _NODE_MAP_DIRS):
         return []
     out = []
@@ -476,12 +468,7 @@ def check_node_map_hotpath(path: str, raw_lines: list[str],
                 "node-map-hotpath", path, i + 1,
                 f"{m.group(0).strip()}: per-UE/per-flow resident state in "
                 "hot directories uses the slab layout (Slab/SlabMap/"
-                "FlatMap); node maps live only in sc-lint: slab-owner(...) "
-                "files behind the SOFTCELL_SLAB=0 hatch", line))
-    marker = _marker_line(_SLAB_OWNER, raw_lines)
-    if marker is not None:
-        return _audit_owner_marker("node-map-hotpath", "slab-owner", path,
-                                   marker, out)
+                "FlatMap), not node maps", line))
     return out
 
 
@@ -558,7 +545,7 @@ def scan_file(root: Path, file: Path) -> list[Finding]:
     findings += check_metrics_direct(rel, raw_lines, stripped_lines)
     findings += check_controller_construct(rel, stripped_lines)
     findings += check_cross_shard_direct(rel, raw_lines, stripped_lines)
-    findings += check_node_map_hotpath(rel, raw_lines, stripped_lines)
+    findings += check_node_map_hotpath(rel, stripped_lines)
     findings += check_raw_socket(rel, stripped_lines)
     return findings
 
